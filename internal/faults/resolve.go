@@ -57,7 +57,7 @@ func Resolve(p *Plan, crash int, m *sim.Machine, cycle int64) (*sim.CrashFaults,
 		mc  int
 		seq int64
 	}
-	var admitted []adm // WPQ-admitted by the crash, in admission order per MC
+	admitted := make([]adm, 0, len(m.Journal)) // WPQ-admitted by the crash, in admission order per MC
 	for i := 0; i < len(m.Journal); i++ {
 		rec := &m.Journal[i]
 		if rec.Logged && !retired[rec.Region] {
@@ -68,19 +68,21 @@ func Resolve(p *Plan, crash int, m *sim.Machine, cycle int64) (*sim.CrashFaults,
 		}
 	}
 	// Tail window per MC: the last wpqTailWindow admissions of each
-	// controller, ordered (mc, seq).
-	perMC := map[int][]adm{}
+	// controller, ordered (mc, seq). A counting pass sizes each
+	// controller's list exactly.
+	counts := make([]int, m.Cfg.NumMCs)
+	for _, a := range admitted {
+		counts[a.mc]++
+	}
+	perMC := make([][]adm, len(counts))
+	for mc, n := range counts {
+		perMC[mc] = make([]adm, 0, n)
+	}
 	for _, a := range admitted {
 		perMC[a.mc] = append(perMC[a.mc], a)
 	}
 	var tail []adm
-	mcs := make([]int, 0, len(perMC))
-	for mc := range perMC {
-		mcs = append(mcs, mc)
-	}
-	sort.Ints(mcs)
-	for _, mc := range mcs {
-		l := perMC[mc]
+	for _, l := range perMC {
 		sort.Slice(l, func(a, b int) bool { return l[a].seq < l[b].seq })
 		if len(l) > wpqTailWindow {
 			l = l[len(l)-wpqTailWindow:]

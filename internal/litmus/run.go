@@ -103,7 +103,10 @@ func RunSpec(s *Spec, opt RunOptions) (*Result, error) {
 		cfg.MaxSteps = 1_000_000 // litmus programs are tiny; bound runaways
 	}
 
-	golden, err := newMachine(p, cfg)
+	// The golden run never crashes, so it keeps no persist journal.
+	gcfg := cfg
+	gcfg.Recoverable = false
+	golden, err := newMachine(p, gcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -170,15 +170,27 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(t)
 }
 
+// The DRAM cache's tags come in chunks of 1<<dramChunkShift sets (32 KiB).
+// The first dramLazyChunks touched are allocated alone, so a machine that
+// touches a few lines (a litmus machine touches two) never pays for the
+// whole store; touching more allocates the rest at once, so a running
+// machine's size, and the live heap the collector sees, stops tracking
+// its progress.
+const (
+	dramChunkShift = 12
+	dramLazyChunks = 2
+)
+
 // DRAMCache is the direct-mapped DRAM cache (LLC) used in PMEM memory mode
-// and the CXL configurations: one tag per set, write-back. Tags carry the
-// same +1 bias as Cache (0 = empty) so construction needs no fill pass.
+// and the CXL configurations: one tag per set, with the same +1 bias as
+// Cache (0 = empty). It keeps no dirty bits: WSP drops dirty victims (the
+// persist path already carried the data).
 type DRAMCache struct {
 	lineShift uint
 	sets      int
-	setMask   int64 // sets-1 when sets is a power of two, else -1
-	tags      []int64
-	dirty     []bool
+	setMask   int64     // sets-1 when sets is a power of two, else -1
+	chunks    [][]int64 // chunks[set>>dramChunkShift]; nil until allocated
+	lazy      int       // chunks allocated one at a time so far
 
 	Hits   int64
 	Misses int64
@@ -198,15 +210,12 @@ func NewDRAMCache(sizeBytes, lineBytes int) *DRAMCache {
 		lineShift: log2(lineBytes),
 		sets:      sets,
 		setMask:   setMask,
-		tags:      make([]int64, sets),
-		dirty:     make([]bool, sets),
+		chunks:    make([][]int64, (sets+1<<dramChunkShift-1)>>dramChunkShift),
 	}
 }
 
-// Access performs an access, returning hit status and whether a dirty line
-// was displaced (its writeback goes to NVM, but in WSP mode that writeback
-// is silently dropped — the persist path already carried the data).
-func (d *DRAMCache) Access(addr int64, write bool) (hit bool, victimDirty bool, victimLine int64) {
+// Access performs an access, filling on miss, and returns the hit status.
+func (d *DRAMCache) Access(addr int64) (hit bool) {
 	line := addr >> d.lineShift
 	var set int
 	if d.setMask >= 0 {
@@ -214,26 +223,33 @@ func (d *DRAMCache) Access(addr int64, write bool) (hit bool, victimDirty bool, 
 	} else {
 		set = int(uint64(line) % uint64(d.sets))
 	}
-	if d.tags[set] == line+1 {
+	chunk := d.chunks[set>>dramChunkShift]
+	if chunk == nil {
+		chunk = d.alloc(set >> dramChunkShift)
+	}
+	tag := &chunk[set&(1<<dramChunkShift-1)]
+	if *tag == line+1 {
 		d.Hits++
-		if write {
-			d.dirty[set] = true
-		}
-		return true, false, 0
+		return true
 	}
 	d.Misses++
-	victimDirty = d.dirty[set] && d.tags[set] != 0
-	victimLine = d.tags[set] - 1
-	d.tags[set] = line + 1
-	d.dirty[set] = write
-	return false, victimDirty, victimLine
+	*tag = line + 1
+	return false
 }
 
-// MissRate returns misses/(hits+misses), 0 when unused.
-func (d *DRAMCache) MissRate() float64 {
-	t := d.Hits + d.Misses
-	if t == 0 {
-		return 0
+// alloc allocates tag chunk i: alone while fewer than dramLazyChunks
+// have been, otherwise as part of one array holding every set.
+func (d *DRAMCache) alloc(i int) []int64 {
+	if d.lazy < dramLazyChunks {
+		d.lazy++
+		d.chunks[i] = make([]int64, min(1<<dramChunkShift, d.sets-i<<dramChunkShift))
+		return d.chunks[i]
 	}
-	return float64(d.Misses) / float64(t)
+	all := make([]int64, d.sets)
+	for j, c := range d.chunks {
+		lo := j << dramChunkShift
+		d.chunks[j] = all[lo:min(lo+1<<dramChunkShift, d.sets)]
+		copy(d.chunks[j], c)
+	}
+	return d.chunks[i]
 }

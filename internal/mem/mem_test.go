@@ -153,18 +153,92 @@ func TestCacheWorkingSetFits(t *testing.T) {
 
 func TestDRAMCacheDirectMapped(t *testing.T) {
 	d := NewDRAMCache(2*64, 64) // 2 sets
-	hit, _, _ := d.Access(0, true)
-	if hit {
+	if d.Access(0) {
 		t.Error("cold miss expected")
 	}
-	hit, _, _ = d.Access(0, false)
-	if !hit {
+	if !d.Access(0) {
 		t.Error("hit expected")
 	}
-	// Conflicting line (same set): evicts dirty line 0.
-	_, victimDirty, victimLine := d.Access(2*64, false)
-	if !victimDirty || victimLine != 0 {
-		t.Errorf("victim = dirty=%v line=%d, want dirty line 0", victimDirty, victimLine)
+	// Conflicting line (same set) displaces line 0.
+	if d.Access(2 * 64) {
+		t.Error("conflict miss expected")
+	}
+	if d.Access(0) {
+		t.Error("line 0 must have been displaced")
+	}
+	if d.Access(64) || !d.Access(64) {
+		t.Error("set 1: want miss then hit, independent of set 0")
+	}
+	if d.Hits != 2 || d.Misses != 4 {
+		t.Errorf("hits=%d misses=%d, want 2/4", d.Hits, d.Misses)
+	}
+}
+
+// TestDRAMCacheLazyChunks covers the chunked tag store: the first
+// dramLazyChunks touched chunks are allocated alone, the next touch
+// allocates every missing chunk at once, a non-power-of-two set count
+// indexes by modulo into a short last chunk, and hit/miss behavior matches
+// a flat direct-mapped cache throughout.
+func TestDRAMCacheLazyChunks(t *testing.T) {
+	const chunkSets = 1 << dramChunkShift
+	nChunks := dramLazyChunks + 3
+	sets := (nChunks-1)*chunkSets + 3 // not a power of two: short last chunk
+	allocated := func(d *DRAMCache) (n, setsHeld int) {
+		for _, c := range d.chunks {
+			if c != nil {
+				n++
+				setsHeld += len(c)
+			}
+		}
+		return n, setsHeld
+	}
+
+	d := NewDRAMCache(sets*64, 64)
+	if len(d.chunks) != nChunks {
+		t.Fatalf("%d chunks, want %d", len(d.chunks), nChunks)
+	}
+	if n, _ := allocated(d); n != 0 {
+		t.Fatalf("%d chunks allocated before any access", n)
+	}
+	last := int64(sets-1) * 64
+	if d.Access(last) || !d.Access(last) {
+		t.Error("last set: want miss then hit")
+	}
+	if n, held := allocated(d); n != 1 || held != 3 {
+		t.Errorf("%d chunks holding %d sets, want only the 3-set last chunk", n, held)
+	}
+	// Line sets-1+sets wraps to the same (last) set and displaces it.
+	if d.Access(last + int64(sets)*64) {
+		t.Error("wrapped conflict miss expected")
+	}
+	if d.Access(last) {
+		t.Error("last set must have been displaced")
+	}
+	for k := 0; k < dramLazyChunks-1; k++ {
+		d.Access(int64(k*chunkSets) * 64)
+	}
+	if n, _ := allocated(d); n != dramLazyChunks {
+		t.Fatalf("%d chunks allocated after %d touched, want one each", n, dramLazyChunks)
+	}
+	d.Access(int64(dramLazyChunks*chunkSets) * 64)
+	if n, held := allocated(d); n != nChunks || held != sets {
+		t.Fatalf("%d chunks holding %d sets after the bulk fill, want %d holding %d", n, held, nChunks, sets)
+	}
+	if !d.Access(last) {
+		t.Error("bulk fill must keep the lazily allocated chunks' tags")
+	}
+
+	// Reference model: a flat tag array over a deterministic address walk.
+	d = NewDRAMCache(sets*64, 64)
+	ref := make([]int64, sets)
+	for i := int64(0); i < 100000; i++ {
+		line := i * 7919 % 150001
+		set := line % int64(sets)
+		want := ref[set] == line+1
+		ref[set] = line + 1
+		if got := d.Access(line * 64); got != want {
+			t.Fatalf("access %d (line %d): hit=%v, want %v", i, line, got, want)
+		}
 	}
 }
 

@@ -26,8 +26,12 @@ type CheckResult struct {
 	ReExecuted   int64            // dynamic instructions executed after resume
 }
 
-// Golden runs the program uninterrupted and returns its final result.
+// Golden runs the program uninterrupted and returns its final result. A
+// run that never crashes never reads the persist journal or region log,
+// so Golden turns Config.Recoverable off whatever the caller passed;
+// results are identical either way (internal/simtest pins this).
 func Golden(prog *ir.Program, cfg sim.Config, sch sim.Scheme, specs []sim.ThreadSpec) (*sim.Result, error) {
+	cfg.Recoverable = false
 	m, err := sim.NewThreaded(prog, cfg, sch, specs)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,7 @@
 // every experiment cell embarrassingly parallel and perfectly cacheable;
 // the runner is the layer that exploits both. internal/bench and
 // internal/recovery submit their cells through it; the pool reports
-// progress and occupancy through internal/telemetry.
+// progress and cell latency through internal/telemetry.
 package runner
 
 import (

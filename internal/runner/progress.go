@@ -10,10 +10,8 @@ import (
 )
 
 // Progress accumulates pool telemetry across every Run of a pool's
-// lifetime: cells submitted/served-from-cache/executed, per-cell latency
-// (log2 histogram), and a worker-occupancy time series sampled at every
-// cell start/finish (the sampler's "cycle" axis is milliseconds since the
-// pool was created). One Progress is shared by all experiments of a
+// lifetime: cells submitted/served-from-cache/executed and per-cell
+// latency (log2 histogram). One Progress is shared by all experiments of a
 // `cwspbench -exp all` invocation, so the manifest reports whole-sweep
 // totals.
 type Progress struct {
@@ -29,7 +27,6 @@ type Progress struct {
 	wall    time.Duration
 
 	lat *telemetry.Histogram // per-executed-cell wall latency, microseconds
-	occ *telemetry.Sampler   // cols: active, done
 
 	log io.Writer
 }
@@ -38,7 +35,6 @@ func newProgress(log io.Writer) *Progress {
 	return &Progress{
 		start: time.Now(),
 		lat:   telemetry.NewHistogram("cell_latency_us"),
-		occ:   telemetry.NewSampler(1, 4096, "active", "done"),
 		log:   log,
 	}
 }
@@ -52,8 +48,7 @@ func NewProgress() *Progress { return newProgress(nil) }
 // campaign's Progress at submission so /progress is readable while the
 // campaign queues, but ElapsedMS/CellsPerSec/ETA must measure execution
 // pace, not admission-queue wait — under backpressure the queue wait
-// dominates and would skew the rate low and the ETA long. Call only
-// before any cell activity: the occupancy series is timed against start.
+// dominates and would skew the rate low and the ETA long.
 func (p *Progress) Restart() {
 	p.mu.Lock()
 	p.start = time.Now()
@@ -66,14 +61,9 @@ func (p *Progress) setLog(w io.Writer) {
 	p.mu.Unlock()
 }
 
-func (p *Progress) sampleLocked() {
-	p.occ.Record(time.Since(p.start).Milliseconds(), float64(p.active), float64(p.hits+p.shared+p.exec))
-}
-
 func (p *Progress) cellStart() {
 	p.mu.Lock()
 	p.active++
-	p.sampleLocked()
 	p.mu.Unlock()
 }
 
@@ -82,7 +72,6 @@ func (p *Progress) cellDone(d time.Duration, key Key) {
 	p.active--
 	p.exec++
 	p.lat.Observe(d.Microseconds())
-	p.sampleLocked()
 	log := p.log
 	p.mu.Unlock()
 	if log != nil {
@@ -97,7 +86,6 @@ func (p *Progress) cellHit(fromStore bool) {
 	} else {
 		p.shared++
 	}
-	p.sampleLocked()
 	p.mu.Unlock()
 }
 
@@ -134,15 +122,9 @@ func (p *Progress) Hits() int64 { p.mu.Lock(); defer p.mu.Unlock(); return p.hit
 // Executed returns cells actually simulated (store + in-batch misses).
 func (p *Progress) Executed() int64 { p.mu.Lock(); defer p.mu.Unlock(); return p.exec }
 
-// Occupancy returns the worker-occupancy time series.
-func (p *Progress) Occupancy() *telemetry.Sampler { return p.occ }
-
-// Latency returns the per-executed-cell latency histogram (microseconds).
-func (p *Progress) Latency() *telemetry.Histogram { return p.lat }
-
-// LatencySnapshot returns a point-in-time copy of the latency histogram,
-// safe to read (e.g. render to /metrics) while workers keep observing —
-// the live Latency() pointer is only safe after every Run returned.
+// LatencySnapshot returns a point-in-time copy of the per-executed-cell
+// latency histogram (microseconds), safe to read (e.g. render to /metrics)
+// while workers keep observing.
 func (p *Progress) LatencySnapshot() *telemetry.Histogram {
 	p.mu.Lock()
 	defer p.mu.Unlock()

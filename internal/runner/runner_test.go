@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -198,11 +199,8 @@ func TestProgressTelemetry(t *testing.T) {
 	if prog.Cells() != 10 || prog.Executed() != 10 || prog.Hits() != 0 {
 		t.Fatalf("cells=%d executed=%d hits=%d", prog.Cells(), prog.Executed(), prog.Hits())
 	}
-	if prog.Latency().Count() != 10 {
-		t.Fatalf("latency samples %d, want 10", prog.Latency().Count())
-	}
-	if prog.Occupancy().Len() == 0 {
-		t.Fatal("no occupancy samples")
+	if prog.LatencySnapshot().Count() != 10 {
+		t.Fatalf("latency samples %d, want 10", prog.LatencySnapshot().Count())
 	}
 	info := prog.Info(4)
 	if info.Jobs != 4 || info.Cells != 10 || info.Executed != 10 {
@@ -211,4 +209,25 @@ func TestProgressTelemetry(t *testing.T) {
 	if info.CellLatencyUS == nil || info.CellLatencyUS.Count != 10 {
 		t.Fatalf("latency summary %+v", info.CellLatencyUS)
 	}
+}
+
+// TestNewProgressAllocBudget pins what one Progress costs. The experiment
+// service builds one per campaign and keeps it for the daemon's life, so
+// anything sized here multiplies by every campaign ever admitted.
+func TestNewProgressAllocBudget(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = NewProgress() }); n > 4 {
+		t.Errorf("NewProgress made %.0f allocations, want <= 4", n)
+	}
+	const runs = 100
+	keep := make([]*Progress, runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewProgress()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 2<<10 {
+		t.Errorf("NewProgress allocated %d bytes, want < 2 KiB", per)
+	}
+	runtime.KeepAlive(keep)
 }

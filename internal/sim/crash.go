@@ -218,23 +218,31 @@ func (m *Machine) validateJournal(cycle int64, cf *CrashFaults) error {
 		idx int
 		seq int64
 	}
-	perMC := map[int][]ent{}
+	// A counting pass sizes each controller's list exactly.
+	admitted := func(i int) bool { return m.Journal[i].MCSeq != 0 && m.Journal[i].Admit <= cycle }
+	counts := make([]int, len(m.wpqs))
+	maxCount := 0
 	for i := range m.Journal {
-		rec := &m.Journal[i]
-		if rec.MCSeq == 0 || rec.Admit > cycle {
-			continue
+		if admitted(i) {
+			mc := m.Journal[i].MC
+			counts[mc]++
+			maxCount = max(maxCount, counts[mc])
 		}
-		perMC[rec.MC] = append(perMC[rec.MC], ent{i, rec.MCSeq})
 	}
-	mcs := make([]int, 0, len(perMC))
-	for mc := range perMC {
-		mcs = append(mcs, mc)
+	perMC := make([][]ent, len(counts))
+	for mc, n := range counts {
+		perMC[mc] = make([]ent, 0, n)
 	}
-	sort.Ints(mcs)
-	for _, mc := range mcs {
-		expect := append([]ent(nil), perMC[mc]...)
+	for i := range m.Journal {
+		if admitted(i) {
+			mc := m.Journal[i].MC
+			perMC[mc] = append(perMC[mc], ent{i, m.Journal[i].MCSeq})
+		}
+	}
+	ledger := make([]ent, 0, maxCount)
+	for mc, expect := range perMC {
 		sort.Slice(expect, func(a, b int) bool { return expect[a].seq < expect[b].seq })
-		ledger := make([]ent, 0, len(expect))
+		ledger = ledger[:0]
 		for _, e := range expect {
 			if !cf.Drop[e.idx] {
 				ledger = append(ledger, e)

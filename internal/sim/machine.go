@@ -453,8 +453,8 @@ func (m *Machine) mcOf(addr int64) int {
 }
 
 // missLatency descends the hierarchy below a missing L1D access and
-// returns the added latency. write indicates a store-fill.
-func (m *Machine) missLatency(c *core, addr int64, write bool) int64 {
+// returns the added latency.
+func (m *Machine) missLatency(c *core, addr int64) int64 {
 	lat := int64(0)
 	if hit, _ := m.l2.Access(addr, false); hit {
 		return m.eff(m.Cfg.L2Lat)
@@ -467,13 +467,11 @@ func (m *Machine) missLatency(c *core, addr int64, write bool) int64 {
 		lat += m.Cfg.L3Lat
 	}
 	if m.dram != nil {
-		if hit, _, _ := m.dram.Access(addr, write); hit {
+		if m.dram.Access(addr) {
 			return m.eff(lat + m.Cfg.DRAMLat)
 		}
 		// DRAM-cache miss costs only the tag probe (memory-mode tags are
 		// checked in the controller); the fill overlaps the NVM access.
-		// Dirty victim writebacks are dropped in WSP mode (the persist
-		// path already carried the data).
 		lat += m.Cfg.DRAMLat / 4
 	}
 	m.stats.NVMReads++
@@ -518,7 +516,7 @@ func (m *Machine) memLoad(c *core, addr int64) int64 {
 	hit, ev := c.l1d.Access(addr, false)
 	m.handleEviction(c, ev)
 	if !hit {
-		c.cycle += m.missLatency(c, addr, false)
+		c.cycle += m.missLatency(c, addr)
 	}
 	return val
 }
@@ -531,7 +529,7 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 	m.handleEviction(c, ev)
 	if !hit {
 		// Store-miss fills are half-hidden by the store buffer.
-		c.cycle += m.missLatency(c, addr, true) / 2
+		c.cycle += m.missLatency(c, addr) / 2
 	}
 	if !m.Sch.Persist {
 		return
@@ -791,7 +789,7 @@ func (m *Machine) handleSyncGroup(c *core, f *frame, in *ir.Instr) {
 		hit, ev := c.l1d.Access(addr, true)
 		m.handleEviction(c, ev)
 		if !hit {
-			c.cycle += m.missLatency(c, addr, true)
+			c.cycle += m.missLatency(c, addr)
 		}
 		old := m.Mem.Load(addr)
 		switch in.Op {
