@@ -59,12 +59,15 @@ bench-kernel-gotest:
 # seed × scheme × crash point, the threaded kernel must agree with the
 # reference byte-for-byte), its instrumented arm (the same cells with
 # telemetry and a tracer attached, at a fuzzed sample interval and stop
-# point), the litmus spec grammar round-trip (spec string → plan →
+# point), the persist-path models (WPQ pending drains and PB line times
+# against the plain maps they replaced, over operation sequences and
+# PB/WPQ sizes), the litmus spec grammar round-trip (spec string → plan →
 # spec), and the campaign-journal decoder (arbitrary bytes → longest
 # verifiable prefix, re-decode stable, fold never panics).
 fuzz-smoke:
 	$(GO) test ./internal/simtest -run xxx -fuzz FuzzKernelEquivalence -fuzztime 20s
 	$(GO) test ./internal/simtest -run xxx -fuzz FuzzThreadedEquivalence -fuzztime 10s
+	$(GO) test ./internal/persist -run xxx -fuzz FuzzPersistModels -fuzztime 10s
 	$(GO) test ./internal/litmus -run xxx -fuzz FuzzLitmusSpec -fuzztime 10s
 	$(GO) test ./internal/service -run xxx -fuzz FuzzJournalDecode -fuzztime 10s
 

@@ -117,6 +117,21 @@ func (r *CampaignReport) CheckReport() *check.Report {
 	return rep
 }
 
+// busOutcome names a cell's judgment in the live bus's recovery-outcome
+// vocabulary: an allowed post-crash image is a clean recovery and a
+// violation a divergence; unjudged and erroring cells count as errors.
+func busOutcome(outcome string) string {
+	switch outcome {
+	case ResAllowed:
+		return "clean"
+	case ResViolation:
+		return "diverged"
+	case ResDetected:
+		return "detected"
+	}
+	return "error"
+}
+
 // WriteJSON emits the report deterministically (indented, stable order).
 func (r *CampaignReport) WriteJSON() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
@@ -201,7 +216,7 @@ func RunCampaign(opts CampaignOptions) (*CampaignReport, *runner.Progress, error
 							}
 							opts.Bus.Publish(live.Event{
 								Kind:    live.RecoveryOutcome,
-								Outcome: res.Outcome,
+								Outcome: busOutcome(res.Outcome),
 								Crash:   res.Crash,
 							})
 						}

@@ -3,6 +3,8 @@ package litmus
 import (
 	"bytes"
 	"testing"
+
+	"cwsp/internal/telemetry/live"
 )
 
 func smallCampaign(jobs int, unsealed bool) CampaignOptions {
@@ -121,5 +123,52 @@ func TestCampaignUnsealedViolationsCarryRepros(t *testing.T) {
 		if !res.Failed() {
 			t.Errorf("repro spec does not reproduce: %s (%q)", res.Outcome, c.Repro)
 		}
+	}
+}
+
+// TestCampaignBusMatchesReportTotals holds the live bus's recovery-outcome
+// counters to the report they describe: allowed cells are clean
+// recoveries, violations divergences, detections detections, and
+// unjudged or erroring cells errors. It covers a passing campaign and the
+// unsealed negative control, whose injected faults surface as violations.
+func TestCampaignBusMatchesReportTotals(t *testing.T) {
+	// `cwsplitmus -seed 1 -unsealed` shape 15 violates on every drain
+	// scheme.
+	unsealed := CampaignOptions{
+		Seed:     1,
+		Tests:    16,
+		Gen:      GenOptions{Cores: 2, Events: 5, Points: 2},
+		Schemes:  []string{"base", "cwsp", "ido"},
+		Kernels:  AllKernels,
+		Unsealed: true,
+	}
+	for _, tc := range []struct {
+		name string
+		opts CampaignOptions
+	}{
+		{"sealed", smallCampaign(2, false)},
+		{"unsealed", unsealed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bus := live.NewBus()
+			tc.opts.Bus = bus
+			rep, _, err := RunCampaign(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tot, s := rep.Totals, bus.Snapshot()
+			if tc.opts.Unsealed && tot.Violations == 0 {
+				t.Fatalf("negative control found no violation: %+v", tot)
+			}
+			if !tc.opts.Unsealed && tot.Allowed == 0 {
+				t.Fatalf("passing campaign judged no cell allowed: %+v", tot)
+			}
+			if s.Clean != int64(tot.Allowed) || s.Diverged != int64(tot.Violations) ||
+				s.Detected != int64(tot.Detected) || s.Errors != int64(tot.Unjudged+tot.Errors) {
+				t.Errorf("bus clean/diverged/detected/errors = %d/%d/%d/%d, report allowed/violations/detected/unjudged+errors = %d/%d/%d/%d",
+					s.Clean, s.Diverged, s.Detected, s.Errors,
+					tot.Allowed, tot.Violations, tot.Detected, tot.Unjudged+tot.Errors)
+			}
+		})
 	}
 }

@@ -74,18 +74,6 @@ func (c *Cache) set(line int64) int {
 	return int(uint64(line) % uint64(c.sets))
 }
 
-// Lookup probes for addr without modifying replacement state.
-func (c *Cache) Lookup(addr int64) bool {
-	line := c.Line(addr)
-	base := c.set(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line+1 {
-			return true
-		}
-	}
-	return false
-}
-
 // Evicted describes a line displaced by a fill.
 type Evicted struct {
 	Valid bool
@@ -145,29 +133,6 @@ fill:
 	c.lru[victim] = c.lruTick
 	c.mru[set] = int32(victim - base)
 	return false, ev
-}
-
-// InvalidateLine drops a line if present, returning whether it was dirty.
-func (c *Cache) InvalidateLine(line int64) (present, dirty bool) {
-	base := c.set(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line+1 {
-			present, dirty = true, c.dirty[base+w]
-			c.tags[base+w] = 0
-			c.dirty[base+w] = false
-			return
-		}
-	}
-	return
-}
-
-// MissRate returns misses/(hits+misses), 0 when unused.
-func (c *Cache) MissRate() float64 {
-	t := c.Hits + c.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(t)
 }
 
 // The DRAM cache's tags come in chunks of 1<<dramChunkShift sets (32 KiB).

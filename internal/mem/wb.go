@@ -21,8 +21,6 @@ type WriteBuffer struct {
 	entryCycles float64
 	Delayed     int64 // drains held back by the persist-path check
 	FullStall   int64 // cycles the core stalled on a full WB
-	Drained     int64 // entries that completed their drain to L2
-	PeakOcc     int   // high-water mark of resident entries
 }
 
 // NewWriteBuffer builds a buffer of capacity entries whose entries take
@@ -41,7 +39,6 @@ func (w *WriteBuffer) gc(now int64) {
 			w.head = 0
 		}
 		w.len--
-		w.Drained++
 	}
 }
 
@@ -91,9 +88,6 @@ func (w *WriteBuffer) Insert(now int64, persistReady int64) int64 {
 	}
 	w.drainDone[tail] = done
 	w.len++
-	if w.len > w.PeakOcc {
-		w.PeakOcc = w.len
-	}
 	w.account(now, done)
 	return now
 }

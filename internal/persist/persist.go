@@ -16,8 +16,8 @@ package persist
 // order. The WPQ is inside the persistence domain: a store is *persisted*
 // the moment it is admitted.
 type WPQ struct {
-	cap           int
-	bytesPerCycle float64
+	cap   int
+	media rate // NVM media write bandwidth
 
 	// drainDone is a ring of the last cap entries' drain-completion times,
 	// monotone non-decreasing.
@@ -27,24 +27,12 @@ type WPQ struct {
 	lastDrain int64
 
 	// pending maps word address -> drain time, for the load-delay check
-	// (paper Section V-A2).
+	// (paper Section V-A2). Drains rise strictly per queue, so the table's
+	// put order is drain order and Sweep pops the drained front.
 	pending *addrTable
-	// pendAddr/pendDrain form a growable ring of pending puts in admission
-	// order. Drains are strictly monotone, so the ring is drain-sorted and
-	// Sweep can pop just the stale prefix instead of scanning the whole
-	// table. Records whose table entry was since overwritten or collected
-	// are skipped by a recheck, so the deletions Sweep performs are exactly
-	// the map's range-and-delete set.
-	pendAddr   []int64
-	pendDrain  []int64
-	pendHead   int
-	pendLen    int
-	pendSpareA []int64
-	pendSpareD []int64
 
-	Admits       int64
-	FullWait     int64 // total cycles arrivals waited for a free slot
-	BytesDrained int64
+	Admits   int64
+	FullWait int64 // total cycles arrivals waited for a free slot
 }
 
 // NewWPQ builds a WPQ with the given capacity and NVM write drain rate.
@@ -56,10 +44,10 @@ func NewWPQ(capacity int, bytesPerCycle float64) *WPQ {
 		bytesPerCycle = 1
 	}
 	return &WPQ{
-		cap:           capacity,
-		bytesPerCycle: bytesPerCycle,
-		drainDone:     make([]int64, capacity),
-		pending:       newAddrTable(),
+		cap:       capacity,
+		media:     newRate(bytesPerCycle),
+		drainDone: make([]int64, capacity),
+		pending:   newAddrTable(),
 	}
 }
 
@@ -76,93 +64,26 @@ func (w *WPQ) Admit(arrival int64, addr int64, bytes int) (admit, drain int64) {
 			w.FullWait += oldest - admit
 			admit = oldest
 		}
-		w.head = (w.head + 1) % w.cap
+		w.head++
+		if w.head == w.cap {
+			w.head = 0
+		}
 		w.count--
 	}
-	start := admit
-	if w.lastDrain > start {
-		start = w.lastDrain
-	}
-	drain = start + int64(float64(bytes)/w.bytesPerCycle)
-	if drain == start {
-		drain = start + 1
-	}
+	drain = max(admit, w.lastDrain) + w.media.cycles(bytes)
 	w.lastDrain = drain
-	w.drainDone[(w.head+w.count)%w.cap] = drain
+	tail := w.head + w.count
+	if tail >= w.cap {
+		tail -= w.cap
+	}
+	w.drainDone[tail] = drain
 	w.count++
 	w.Admits++
-	w.BytesDrained += int64(bytes)
 
 	if addr != 0 {
 		w.pending.put(addr&^7, drain)
-		w.pendPush(addr&^7, drain)
 	}
 	return admit, drain
-}
-
-// pendPush appends a put record to the drain-ordered ring, rebuilding
-// when full: orphaned records (entries since overwritten or collected)
-// are dropped, so the ring stays proportional to the live table. Every
-// live table entry keeps exactly its current-drain record, so a rebuild
-// cannot change which entries a future Sweep deletes.
-func (w *WPQ) pendPush(addr, drain int64) {
-	if w.pendLen == len(w.pendAddr) {
-		w.pendRebuild()
-	}
-	t := w.pendHead + w.pendLen
-	if t >= len(w.pendAddr) {
-		t -= len(w.pendAddr)
-	}
-	w.pendAddr[t], w.pendDrain[t] = addr, drain
-	w.pendLen++
-}
-
-func (w *WPQ) pendRebuild() {
-	n := len(w.pendAddr)
-	match := func(j int) bool {
-		v, ok := w.pending.get(w.pendAddr[j])
-		return ok && v == w.pendDrain[j]
-	}
-	keep := 0
-	for i := 0; i < w.pendLen; i++ {
-		j := w.pendHead + i
-		if j >= n {
-			j -= n
-		}
-		if match(j) {
-			keep++
-		}
-	}
-	size := n
-	if size < 64 {
-		size = 64
-	}
-	for 2*keep >= size {
-		size *= 2
-	}
-	na, nd := w.pendSpareA, w.pendSpareD
-	if len(na) != size {
-		na = make([]int64, size)
-		nd = make([]int64, size)
-	}
-	out := 0
-	for i := 0; i < w.pendLen; i++ {
-		j := w.pendHead + i
-		if j >= n {
-			j -= n
-		}
-		if match(j) {
-			na[out], nd[out] = w.pendAddr[j], w.pendDrain[j]
-			out++
-		}
-	}
-	if n == size {
-		// Same-size swap: retain the old buffers so the steady state never
-		// allocates.
-		w.pendSpareA, w.pendSpareD = w.pendAddr, w.pendDrain
-	}
-	w.pendAddr, w.pendDrain = na, nd
-	w.pendHead, w.pendLen = 0, out
 }
 
 // Occupancy returns the number of entries still in flight (admitted but
@@ -205,52 +126,46 @@ func (w *WPQ) PendingUntil(addr, now int64) int64 {
 	return d
 }
 
-// Sweep drops drained pending-address entries (bounds table growth). The
-// ring is drain-sorted, so popping the <=now prefix and deleting each
-// record's still-matching table entry performs exactly the deletions a
-// full range-and-delete over the table would.
+// Sweep drops drained pending-address entries (bounds table growth) once
+// the table holds 4x the queue's capacity. The table is in drain order,
+// so popping its <=now front deletes exactly what a range-and-delete over
+// every entry would, at any now (cores query at their own clocks).
 func (w *WPQ) Sweep(now int64) {
-	if w.pending.live < 4*w.cap {
-		return
-	}
-	for w.pendLen > 0 && w.pendDrain[w.pendHead] <= now {
-		a := w.pendAddr[w.pendHead]
-		w.pendHead++
-		if w.pendHead == len(w.pendAddr) {
-			w.pendHead = 0
-		}
-		w.pendLen--
-		if v, ok := w.pending.get(a); ok && v <= now {
-			w.pending.del(a)
-		}
+	if w.pending.live >= 4*w.cap {
+		w.pending.popBelow(now)
 	}
 }
 
 // Path is one core's persist buffer plus its FIFO path to the memory
 // controllers.
 type Path struct {
-	pbCap         int
-	bytesPerCycle float64
-	oneWayLat     int64
+	pbCap     int
+	link      rate // persist-path bandwidth
+	oneWayLat int64
 
 	// sent distinguishes "no sends yet" from "last send was at cycle 0"
 	// so the bandwidth interval applies to every send after the first.
 	sent     bool
 	lastSend int64
-	// ackFree is a FIFO ring of entry deallocation times (monotone: the
-	// PB frees entries head-first, so each entry's free time is the
-	// running max of acknowledgment times). Send's full-PB wait bounds the
-	// entry count by pbCap, so the ring never grows.
-	ackFree []int64
-	ackHead int
-	ackLen  int
-	// linePersist maps line address -> latest persist (admit) time of any
-	// entry in that line still potentially in flight, for the WB check.
-	linePersist *addrTable
+	// pb is a FIFO ring of the buffered entries. Send's full-PB wait
+	// bounds the entry count by pbCap, so the ring never grows.
+	pb     []pbEntry
+	pbHead int
+	pbLen  int
 
 	Sends     int64
 	PBStall   int64 // cycles the core stalled on a full PB
 	BytesSent int64
+}
+
+// pbEntry is one persist-buffer slot.
+type pbEntry struct {
+	// free is the entry's deallocation time: the PB frees entries
+	// head-first, so it is the running max of acknowledgment times and
+	// rises along the ring.
+	free  int64
+	admit int64 // WPQ admission (persistence) time
+	line  int64 // 64-byte line address, for the WB check
 }
 
 // NewPath builds a persist path with the given PB capacity, bandwidth
@@ -263,21 +178,20 @@ func NewPath(pbCap int, bytesPerCycle float64, oneWayLat int64) *Path {
 		bytesPerCycle = 0.001
 	}
 	return &Path{
-		pbCap:         pbCap,
-		bytesPerCycle: bytesPerCycle,
-		oneWayLat:     oneWayLat,
-		ackFree:       make([]int64, pbCap),
-		linePersist:   newAddrTable(),
+		pbCap:     pbCap,
+		link:      newRate(bytesPerCycle),
+		oneWayLat: oneWayLat,
+		pb:        make([]pbEntry, pbCap),
 	}
 }
 
 func (p *Path) gc(now int64) {
-	for p.ackLen > 0 && p.ackFree[p.ackHead] <= now {
-		p.ackHead++
-		if p.ackHead == p.pbCap {
-			p.ackHead = 0
+	for p.pbLen > 0 && p.pb[p.pbHead].free <= now {
+		p.pbHead++
+		if p.pbHead == p.pbCap {
+			p.pbHead = 0
 		}
-		p.ackLen--
+		p.pbLen--
 	}
 }
 
@@ -289,10 +203,10 @@ func (p *Path) gc(now int64) {
 func (p *Path) Send(commit int64, addr int64, bytes int, w *WPQ, numaExtra int64, logBytes int) (proceed, admit int64) {
 	proceed = commit
 	p.gc(proceed)
-	if p.ackLen >= p.pbCap {
-		// Wait until the head entry deallocates (ackLen == pbCap exactly,
+	if p.pbLen >= p.pbCap {
+		// Wait until the head entry deallocates (pbLen == pbCap exactly,
 		// since the full-PB wait below keeps the ring from overfilling).
-		free := p.ackFree[p.ackHead]
+		free := p.pb[p.pbHead].free
 		if free > proceed {
 			p.PBStall += free - proceed
 			proceed = free
@@ -302,13 +216,7 @@ func (p *Path) Send(commit int64, addr int64, bytes int, w *WPQ, numaExtra int64
 
 	send := proceed
 	if p.sent {
-		interval := int64(float64(bytes) / p.bytesPerCycle)
-		if interval < 1 {
-			interval = 1
-		}
-		if p.lastSend+interval > send {
-			send = p.lastSend + interval
-		}
+		send = max(send, p.lastSend+p.link.cycles(bytes))
 	}
 	p.sent = true
 	p.lastSend = send
@@ -316,31 +224,21 @@ func (p *Path) Send(commit int64, addr int64, bytes int, w *WPQ, numaExtra int64
 	arrival := send + p.oneWayLat + numaExtra
 	admit, _ = w.Admit(arrival, addr, bytes+logBytes)
 
-	ack := admit + p.oneWayLat
-	// FIFO dealloc: the PB frees entries in order, so monotonize.
-	if p.ackLen > 0 {
-		last := p.ackHead + p.ackLen - 1
-		if last >= p.pbCap {
-			last -= p.pbCap
-		}
-		if p.ackFree[last] > ack {
-			ack = p.ackFree[last]
-		}
-	}
-	tail := p.ackHead + p.ackLen
+	free := admit + p.oneWayLat
+	tail := p.pbHead + p.pbLen
 	if tail >= p.pbCap {
 		tail -= p.pbCap
 	}
-	p.ackFree[tail] = ack
-	p.ackLen++
-
-	line := addr &^ 63
-	if prev, ok := p.linePersist.get(line); !ok || admit > prev {
-		p.linePersist.put(line, admit)
+	// FIFO dealloc: the PB frees entries in order, so monotonize.
+	if p.pbLen > 0 {
+		last := tail - 1
+		if last < 0 {
+			last += p.pbCap
+		}
+		free = max(free, p.pb[last].free)
 	}
-	if p.linePersist.live > 8*p.pbCap {
-		p.linePersist.sweepBelow(commit)
-	}
+	p.pb[tail] = pbEntry{free: free, admit: admit, line: addr &^ 63}
+	p.pbLen++
 
 	p.Sends++
 	p.BytesSent += int64(bytes)
@@ -348,15 +246,37 @@ func (p *Path) Send(commit int64, addr int64, bytes int, w *WPQ, numaExtra int64
 }
 
 // LinePersistTime returns the latest persistence time of in-flight entries
-// covering the 64-byte line of addr (0 when none) — the PB check the WB
-// performs before releasing a dirty line to L2.
+// covering the 64-byte line of addr (0 when none persists after now) — the
+// PB check the WB performs before releasing a dirty line to L2.
+//
+// The buffered entries are the whole answer: an entry that persists after
+// now frees after now, and the ring is only collected at cycles the
+// owning core's clock has reached (Send's commit and proceed, and the
+// telemetry sampler, which samples at the minimum runnable core clock),
+// never ahead of the now the core queries at. Free times rise along the
+// ring, so the scan runs newest first and stops at the first entry freed
+// by now: it and every older entry persisted by then.
 func (p *Path) LinePersistTime(addr, now int64) int64 {
-	t, ok := p.linePersist.get(addr &^ 63)
-	if !ok {
-		return 0
+	line := addr &^ 63
+	var t int64
+	i := p.pbHead + p.pbLen
+	if i >= p.pbCap {
+		i -= p.pbCap
+	}
+	for n := p.pbLen; n > 0; n-- {
+		i--
+		if i < 0 {
+			i += p.pbCap
+		}
+		e := &p.pb[i]
+		if e.free <= now {
+			break
+		}
+		if e.line == line && e.admit > t {
+			t = e.admit
+		}
 	}
 	if t <= now {
-		p.linePersist.del(addr &^ 63)
 		return 0
 	}
 	return t
@@ -365,7 +285,7 @@ func (p *Path) LinePersistTime(addr, now int64) int64 {
 // Occupancy returns the current PB entry count at cycle now.
 func (p *Path) Occupancy(now int64) int {
 	p.gc(now)
-	return p.ackLen
+	return p.pbLen
 }
 
 // SendBacklog returns how many cycles of persist-path send bandwidth are
@@ -376,6 +296,33 @@ func (p *Path) SendBacklog(now int64) int64 {
 		return p.lastSend - now
 	}
 	return 0
+}
+
+// rate converts a byte count to whole cycles (at least one) at a fixed
+// bandwidth. A queue sees at most two sizes, data alone and data plus its
+// undo log, so the last two conversions are kept and a store pays a
+// compare instead of a float divide.
+type rate struct {
+	bytesPerCycle float64
+	size          [2]int // -1 marks an empty memo slot
+	cost          [2]int64
+}
+
+func newRate(bytesPerCycle float64) rate {
+	return rate{bytesPerCycle: bytesPerCycle, size: [2]int{-1, -1}}
+}
+
+func (r *rate) cycles(bytes int) int64 {
+	if bytes == r.size[0] {
+		return r.cost[0]
+	}
+	if bytes == r.size[1] {
+		return r.cost[1]
+	}
+	c := max(int64(float64(bytes)/r.bytesPerCycle), 1)
+	r.size[1], r.cost[1] = r.size[0], r.cost[0]
+	r.size[0], r.cost[0] = bytes, c
+	return c
 }
 
 // RBT is one core's region boundary table: a FIFO of unretired regions'
@@ -391,7 +338,6 @@ type RBT struct {
 	len    int
 
 	FullStall int64
-	Retired   int64
 }
 
 // NewRBT builds an RBT with the given entry count.
@@ -409,7 +355,6 @@ func (r *RBT) gc(now int64) {
 			r.head = 0
 		}
 		r.len--
-		r.Retired++
 	}
 }
 

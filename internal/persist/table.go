@@ -2,32 +2,36 @@ package persist
 
 import "math"
 
-// addrTable is an open-addressed int64→int64 hash table specialized for
-// the address-indexed persist schedules (WPQ pending drains, persist-path
-// line times). It replaces the Go maps the hot path used to hit on every
-// admitted store and every NVM read.
+// addrTable is an open-addressed int64→int64 hash table that keeps its
+// entries in put order, specialized for the WPQ's pending drains. It
+// replaces the Go map the hot path used to hit on every admitted store and
+// every NVM read.
 //
-// Faithfulness matters more than raw speed here: the structures' sweep
-// triggers fire on entry counts, and a sweep's deletions are observable
+// Faithfulness matters more than raw speed here: the WPQ's sweep trigger
+// fires on the entry count, and a sweep's deletions are observable
 // (another core can query an address the sweep dropped), so the table
 // mirrors map semantics exactly — deletions are real (tombstoned) and
 // `live` equals what len(map) would be after the same operation sequence.
-// Internal rebuilds drop only tombstones, never live entries, and reuse a
-// spare buffer pair so a steady-state rebuild allocates nothing.
+//
+// A doubly linked list threaded through the slots holds the put order: a
+// put appends its key at the back (moving it there when it already
+// exists), del unlinks, and popBelow drops entries from the front.
+// Internal rebuilds drop only tombstones, never live entries, keep the
+// order, and reuse a spare buffer so a steady-state rebuild allocates
+// nothing.
 type addrTable struct {
-	keys []int64
-	vals []int64
-	// spare buffers for same-size rebuilds (lazily sized).
-	spareKeys []int64
-	spareVals []int64
-	mask      uint64
-	live      int // occupied, non-tombstone slots == len() of the mirrored map
-	used      int // occupied slots including tombstones
-	// minVal is a lower bound on the smallest live value. A sweepBelow whose
-	// limit is under this bound would delete nothing — and a sweep that
-	// deletes nothing is unobservable — so it can be skipped outright, which
-	// keeps the per-NVM-read WPQ sweep from rescanning a saturated table.
-	minVal int64
+	slots []tslot
+	spare []tslot // retained for same-size rebuilds (lazily sized)
+	mask  uint64
+	live  int // occupied, non-tombstone slots == len() of the mirrored map
+	used  int // occupied slots including tombstones
+	// head and tail are the oldest and newest live slots (-1 when empty).
+	head, tail int32
+}
+
+type tslot struct {
+	key, val   int64
+	prev, next int32 // put-order neighbours (-1 at either end)
 }
 
 const (
@@ -36,20 +40,19 @@ const (
 )
 
 func newAddrTable() *addrTable {
-	t := &addrTable{}
-	t.init(64)
+	t := &addrTable{slots: make([]tslot, 64)}
+	t.reset()
 	return t
 }
 
-func (t *addrTable) init(size int) {
-	t.keys = make([]int64, size)
-	t.vals = make([]int64, size)
-	for i := range t.keys {
-		t.keys[i] = tblEmpty
+// reset empties the current slot array.
+func (t *addrTable) reset() {
+	for i := range t.slots {
+		t.slots[i].key = tblEmpty
 	}
-	t.mask = uint64(size - 1)
+	t.mask = uint64(len(t.slots) - 1)
 	t.live, t.used = 0, 0
-	t.minVal = math.MaxInt64
+	t.head, t.tail = -1, -1
 }
 
 func (t *addrTable) slot(key int64) uint64 {
@@ -61,9 +64,9 @@ func (t *addrTable) slot(key int64) uint64 {
 func (t *addrTable) get(key int64) (int64, bool) {
 	i := t.slot(key)
 	for {
-		switch t.keys[i] {
+		switch t.slots[i].key {
 		case key:
-			return t.vals[i], true
+			return t.slots[i].val, true
 		case tblEmpty:
 			return 0, false
 		}
@@ -71,31 +74,33 @@ func (t *addrTable) get(key int64) (int64, bool) {
 	}
 }
 
-// put inserts or overwrites key.
+// put inserts or overwrites key and makes it the newest entry.
 func (t *addrTable) put(key, val int64) {
-	if val < t.minVal {
-		t.minVal = val
-	}
 	i := t.slot(key)
-	ins := -1
+	ins := int32(-1)
 	for {
-		switch t.keys[i] {
+		s := &t.slots[i]
+		switch s.key {
 		case key:
-			t.vals[i] = val
+			s.val = val
+			if int32(i) != t.tail {
+				t.unlink(int32(i))
+				t.linkBack(int32(i))
+			}
 			return
 		case tblTomb:
 			if ins < 0 {
-				ins = int(i)
+				ins = int32(i)
 			}
 		case tblEmpty:
-			if ins >= 0 {
-				t.keys[ins], t.vals[ins] = key, val
-			} else {
-				t.keys[i], t.vals[i] = key, val
+			if ins < 0 {
+				ins = int32(i)
 				t.used++
 			}
+			t.slots[ins].key, t.slots[ins].val = key, val
+			t.linkBack(ins)
 			t.live++
-			if 4*t.used >= 3*len(t.keys) {
+			if 4*t.used >= 3*len(t.slots) {
 				t.rebuild()
 			}
 			return
@@ -108,10 +113,9 @@ func (t *addrTable) put(key, val int64) {
 func (t *addrTable) del(key int64) {
 	i := t.slot(key)
 	for {
-		switch t.keys[i] {
+		switch t.slots[i].key {
 		case key:
-			t.keys[i] = tblTomb
-			t.live--
+			t.remove(int32(i))
 			return
 		case tblEmpty:
 			return
@@ -120,59 +124,65 @@ func (t *addrTable) del(key int64) {
 	}
 }
 
-// rebuild rehashes the live entries, dropping tombstones. The size grows
-// only when the live set genuinely needs it, and same-size rebuilds swap
-// into the retained spare buffers, so a steady-state table never
-// allocates.
-func (t *addrTable) rebuild() {
-	size := len(t.keys)
-	for 4*t.live >= 3*(size/2) && size < 1<<30 {
-		size *= 2
-	}
-	oldK, oldV := t.keys, t.vals
-	if size == len(t.spareKeys) {
-		t.keys, t.vals = t.spareKeys, t.spareVals
-		for i := range t.keys {
-			t.keys[i] = tblEmpty
-		}
-	} else {
-		t.keys = make([]int64, size)
-		t.vals = make([]int64, size)
-		for i := range t.keys {
-			t.keys[i] = tblEmpty
-		}
-	}
-	if len(oldK) == size {
-		t.spareKeys, t.spareVals = oldK, oldV
-	}
-	t.mask = uint64(size - 1)
-	t.live, t.used = 0, 0
-	for i, k := range oldK {
-		if k != tblEmpty && k != tblTomb {
-			t.put(k, oldV[i])
-		}
+// popBelow deletes entries from the front while their value is <= limit.
+// When values rise in put order, as drain times do in a WPQ, that is
+// exactly the map range-and-delete of every entry <= limit.
+func (t *addrTable) popBelow(limit int64) {
+	for t.head >= 0 && t.slots[t.head].val <= limit {
+		t.remove(t.head)
 	}
 }
 
-// sweepBelow deletes every entry with value <= limit (mirrors the map
-// range-and-delete sweeps). Sweeps that provably delete nothing are
-// skipped; a scan refreshes the exact minimum so the next skip window is
-// as wide as possible.
-func (t *addrTable) sweepBelow(limit int64) {
-	if limit < t.minVal {
-		return
+func (t *addrTable) remove(i int32) {
+	t.slots[i].key = tblTomb
+	t.unlink(i)
+	t.live--
+}
+
+func (t *addrTable) unlink(i int32) {
+	s := &t.slots[i]
+	if s.prev >= 0 {
+		t.slots[s.prev].next = s.next
+	} else {
+		t.head = s.next
 	}
-	newMin := int64(math.MaxInt64)
-	for i, k := range t.keys {
-		if k == tblEmpty || k == tblTomb {
-			continue
-		}
-		if t.vals[i] <= limit {
-			t.keys[i] = tblTomb
-			t.live--
-		} else if t.vals[i] < newMin {
-			newMin = t.vals[i]
-		}
+	if s.next >= 0 {
+		t.slots[s.next].prev = s.prev
+	} else {
+		t.tail = s.prev
 	}
-	t.minVal = newMin
+}
+
+func (t *addrTable) linkBack(i int32) {
+	t.slots[i].prev, t.slots[i].next = t.tail, -1
+	if t.tail >= 0 {
+		t.slots[t.tail].next = i
+	} else {
+		t.head = i
+	}
+	t.tail = i
+}
+
+// rebuild rehashes the live entries in put order, dropping tombstones.
+// The size grows only when the live set genuinely needs it, and same-size
+// rebuilds swap into the retained spare buffer, so a steady-state table
+// never allocates.
+func (t *addrTable) rebuild() {
+	size := len(t.slots)
+	for 4*t.live >= 3*(size/2) && size < 1<<30 {
+		size *= 2
+	}
+	old, head := t.slots, t.head
+	if size == len(t.spare) {
+		t.slots = t.spare
+	} else {
+		t.slots = make([]tslot, size)
+	}
+	if len(old) == size {
+		t.spare = old
+	}
+	t.reset()
+	for i := head; i >= 0; i = old[i].next {
+		t.put(old[i].key, old[i].val)
+	}
 }

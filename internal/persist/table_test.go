@@ -2,41 +2,57 @@ package persist
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
 // tableModel drives an addrTable and a plain map through the same
 // operation sequence and asserts they stay indistinguishable — get on
-// every touched key, live count, and sweep behavior.
+// every touched key, live count, and put order.
 type tableModel struct {
-	t    *testing.T
-	tbl  *addrTable
-	ref  map[int64]int64
-	keys map[int64]bool // every key ever touched, for full-surface checks
+	t     *testing.T
+	tbl   *addrTable
+	ref   map[int64]int64
+	order []int64        // live keys, oldest put first
+	keys  map[int64]bool // every key ever touched, for full-surface checks
 }
 
 func newTableModel(t *testing.T) *tableModel {
 	return &tableModel{t: t, tbl: newAddrTable(), ref: map[int64]int64{}, keys: map[int64]bool{}}
 }
 
+func (m *tableModel) drop(k int64) {
+	for i, o := range m.order {
+		if o == k {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			return
+		}
+	}
+}
+
 func (m *tableModel) put(k, v int64) {
 	m.tbl.put(k, v)
+	m.drop(k)
 	m.ref[k] = v
+	m.order = append(m.order, k)
 	m.keys[k] = true
 }
 
 func (m *tableModel) del(k int64) {
 	m.tbl.del(k)
 	delete(m.ref, k)
+	m.drop(k)
 	m.keys[k] = true
 }
 
-func (m *tableModel) sweep(limit int64) {
-	m.tbl.sweepBelow(limit)
+// popBelow mirrors the WPQ sweep: every entry <= limit goes. The model
+// deletes by value, so the table's front pops must find them all.
+func (m *tableModel) popBelow(limit int64) {
+	m.tbl.popBelow(limit)
 	for k, v := range m.ref {
 		if v <= limit {
 			delete(m.ref, k)
+			m.drop(k)
 		}
 	}
 }
@@ -52,6 +68,13 @@ func (m *tableModel) check() {
 		if ok != wok || (ok && got != want) {
 			m.t.Fatalf("get(%d) = (%d,%v), map says (%d,%v)", k, got, ok, want, wok)
 		}
+	}
+	var got []int64
+	for i := m.tbl.head; i >= 0; i = m.tbl.slots[i].next {
+		got = append(got, m.tbl.slots[i].key)
+	}
+	if !slices.Equal(got, m.order) {
+		m.t.Fatalf("put order %v, want %v", got, m.order)
 	}
 }
 
@@ -82,97 +105,43 @@ func TestAddrTableCollisionChainsAcrossRebuilds(t *testing.T) {
 		}
 	}
 	m.check()
-	if len(m.tbl.keys) == 64 {
+	if len(m.tbl.slots) == 64 {
 		t.Error("sequence never grew the table; collision pressure too low to mean anything")
-	}
-}
-
-func TestAddrTableLazyMinSkipsNoOpSweeps(t *testing.T) {
-	m := newTableModel(t)
-	// Values are drain deadlines: monotone-ish cycles with jitter.
-	rng := rand.New(rand.NewSource(2))
-	cycle := int64(0)
-	for step := 0; step < 5000; step++ {
-		cycle += int64(rng.Intn(8))
-		k := clusteredKey(rng)
-		m.put(k, cycle+int64(rng.Intn(256)))
-		// Sweep at the current cycle — most of these are no-ops the minVal
-		// bound must skip without observable effect.
-		m.sweep(cycle)
-		if step%511 == 0 {
-			m.check()
-		}
-	}
-	m.check()
-
-	// The skip must be provably a no-op: force minVal far above a stale
-	// limit and verify a sweep below it changes nothing even when entries
-	// exist.
-	tbl := newAddrTable()
-	tbl.put(1, 100)
-	tbl.put(2, 200)
-	tbl.sweepBelow(150) // deletes val 100, rescans: minVal becomes 200
-	if tbl.minVal != 200 {
-		t.Fatalf("minVal after sweep = %d, want 200", tbl.minVal)
-	}
-	tbl.sweepBelow(199) // skipped: limit < minVal
-	if v, ok := tbl.get(2); !ok || v != 200 {
-		t.Error("skipped sweep mutated a live entry")
-	}
-	if tbl.live != 1 {
-		t.Errorf("live = %d after no-op sweep, want 1", tbl.live)
-	}
-	// put may lower minVal below existing entries — the bound is
-	// conservative (skips only provable no-ops), never unsafe.
-	tbl.put(3, 50)
-	tbl.sweepBelow(60)
-	if _, ok := tbl.get(3); ok {
-		t.Error("sweep after minVal refresh missed a deletable entry")
-	}
-	if v, ok := tbl.get(2); !ok || v != 200 {
-		t.Error("sweep deleted an entry above its limit")
 	}
 }
 
 func TestAddrTableSpareBufferRebuildUnderDrainSortedPops(t *testing.T) {
 	// The WPQ's steady state: admit a batch of fresh lines with ascending
-	// drain times, pop them all in drain order (sorted deletes), repeat.
-	// The live set stays small while tombstones accumulate, so every
-	// rebuild is a same-size tombstone purge that must run out of the
-	// retained spare buffers — zero allocations once warm. batch is kept
-	// under 3/8 of the initial table so the size never grows.
+	// drain times, then sweep them all from the front in drain order. The
+	// live set stays small while tombstones accumulate, so every rebuild
+	// is a same-size tombstone purge that must run out of the retained
+	// spare buffer — zero allocations once warm. batch is kept under 3/8
+	// of the initial table so the size never grows.
 	m := newTableModel(t)
 	cycle := int64(0)
 	base := int64(0)
 	const batch = 20
 	warm := func(rounds int) {
 		for round := 0; round < rounds; round++ {
-			var keys []int64
 			for i := 0; i < batch; i++ {
 				cycle++
-				k := (base + int64(i)) * 0x1000 // fresh lines: tombstones pile up
-				m.put(k, cycle)
-				keys = append(keys, k)
+				m.put((base+int64(i))*0x1000, cycle) // fresh lines: tombstones pile up
 			}
 			base += batch
-			sort.Slice(keys, func(a, b int) bool {
-				va, _ := m.tbl.get(keys[a])
-				vb, _ := m.tbl.get(keys[b])
-				return va < vb
-			})
-			for _, k := range keys {
-				m.del(k)
-			}
+			m.check()
+			m.popBelow(cycle - batch/2)
+			m.check()
+			m.popBelow(cycle)
 			m.check()
 		}
 	}
 	warm(50)
-	if m.tbl.spareKeys == nil {
-		t.Fatal("steady-state churn never populated the spare buffers")
+	if m.tbl.spare == nil {
+		t.Fatal("steady-state churn never populated the spare buffer")
 	}
-	if len(m.tbl.spareKeys) != len(m.tbl.keys) {
+	if len(m.tbl.spare) != len(m.tbl.slots) {
 		t.Fatalf("spare size %d != table size %d; same-size swap impossible",
-			len(m.tbl.spareKeys), len(m.tbl.keys))
+			len(m.tbl.spare), len(m.tbl.slots))
 	}
 	// Warm steady state must not allocate: every rebuild swaps buffers.
 	allocs := testing.AllocsPerRun(20, func() {
@@ -180,16 +149,14 @@ func TestAddrTableSpareBufferRebuildUnderDrainSortedPops(t *testing.T) {
 			cycle++
 			m.tbl.put((base+int64(i))*0x1000, cycle)
 		}
-		for i := 0; i < batch; i++ {
-			m.tbl.del((base + int64(i)) * 0x1000)
-		}
+		m.tbl.popBelow(cycle)
 		base += batch
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state churn allocates (%v allocs/op); spare-buffer swap not engaging", allocs)
 	}
-	// And correctness must survive the buffer swaps (ref map cleared to
+	// And correctness must survive the buffer swaps (the model cleared to
 	// match: AllocsPerRun drove the raw table only, leaving it empty).
-	m.ref = map[int64]int64{}
+	m.ref, m.order = map[int64]int64{}, nil
 	warm(50)
 }

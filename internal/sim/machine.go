@@ -99,7 +99,7 @@ type Machine struct {
 	Prog *ir.Program
 
 	Mem *mem.PagedMem // architectural memory (caches + NVM union)
-	NVM *mem.PagedMem // persisted image
+	NVM *mem.PagedMem // persisted image; Mem itself under persist schemes (see Result)
 
 	l2   *mem.Cache
 	l3   *mem.Cache
@@ -157,7 +157,11 @@ type Machine struct {
 	tcBoundID int
 }
 
-// Result is what a completed run returns.
+// Result is what a completed run returns. Under a persist scheme
+// (Scheme.Persist) NVM and Mem are one image: every store persists the
+// value it writes. Under any other scheme NVM is a separate image holding
+// only the words present before cycle 0 (InitWord, the heap break, thread
+// arguments), since no store ever reaches it.
 type Result struct {
 	Stats  Stats
 	Ret    []int64 // per-core return values
@@ -200,10 +204,9 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 		Cfg:  cfg,
 		Sch:  sch,
 		Prog: prog,
-		Mem:  mem.NewPagedMem(),
-		NVM:  mem.NewPagedMem(),
 		l2:   mem.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
 	}
+	m.setImages(mem.NewPagedMem(), mem.NewPagedMem)
 	if cfg.L3Bytes > 0 {
 		m.l3 = mem.NewCache("l3", cfg.L3Bytes, cfg.L3Ways, cfg.LineBytes)
 	}
@@ -283,7 +286,19 @@ func (m *Machine) InitWord(addr, val int64) { m.initWord(addr, val) }
 
 func (m *Machine) initWord(addr, val int64) {
 	m.Mem.Store(addr, val)
-	m.NVM.Store(addr, val)
+	if m.NVM != m.Mem {
+		m.NVM.Store(addr, val)
+	}
+}
+
+// setImages installs img as the architectural image and the persisted
+// image the scheme calls for: img itself under persist schemes, else a
+// separate image from nvm.
+func (m *Machine) setImages(img *mem.PagedMem, nvm func() *mem.PagedMem) {
+	m.Mem, m.NVM = img, img
+	if !m.Sch.Persist {
+		m.NVM = nvm()
+	}
 }
 
 func (m *Machine) openRegion(c *core, fn string, staticID int, ref ir.InstrRef, depth int, sp int64, start int64) *regionState {
@@ -295,11 +310,11 @@ func (m *Machine) openRegion(c *core, fn string, staticID int, ref ir.InstrRef, 
 	} else {
 		ri = &RegionInfo{}
 	}
-	*ri = RegionInfo{
-		Seq: m.regionSeq, Core: c.id, Fn: fn, StaticID: staticID,
-		Ref: ref, Depth: depth, StackPtr: sp, Start: start,
-		Retire: math.MaxInt64,
-	}
+	// Field stores rather than a composite literal, which the compiler
+	// builds on the stack and block-copies.
+	ri.Seq, ri.Core, ri.Fn, ri.StaticID = m.regionSeq, c.id, fn, staticID
+	ri.Ref, ri.Depth, ri.StackPtr, ri.Start = ref, depth, sp, start
+	ri.Retire = math.MaxInt64
 	if m.Cfg.Recoverable {
 		m.Regions = append(m.Regions, ri)
 	}
@@ -310,7 +325,7 @@ func (m *Machine) openRegion(c *core, fn string, staticID int, ref ir.InstrRef, 
 	} else {
 		rs = &regionState{}
 	}
-	*rs = regionState{info: ri, startInstrs: c.instrs}
+	rs.info, rs.persistMax, rs.startInstrs, rs.ckpts = ri, 0, c.instrs, 0
 	if m.Sch.DedupLines {
 		c.lines.reset()
 	}
@@ -510,6 +525,10 @@ func (m *Machine) memLoad(c *core, addr int64) int64 {
 // memStore performs an architectural store with timing and (scheme
 // permitting) asynchronous persistence.
 func (m *Machine) memStore(c *core, addr, val int64) {
+	var old int64
+	if m.Cfg.Recoverable {
+		old = m.Mem.Load(addr) // the journal's pre-store NVM word
+	}
 	m.Mem.Store(addr, val)
 	hit, ev := c.l1d.Access(addr, true)
 	m.handleEviction(c, ev)
@@ -528,9 +547,7 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 	if m.Sch.DedupLines && c.cur != nil {
 		line := addr &^ int64(m.Cfg.LineBytes-1)
 		if c.lines.insert(line) {
-			// Coalesced into an already-buffered redo line.
-			m.NVM.Store(addr, val)
-			return
+			return // coalesced into an already-buffered redo line
 		}
 	}
 
@@ -555,11 +572,6 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 	commit := c.cycle
 	proceed, admit := c.path.Send(commit, addr, bytes, m.wpqs[mc], int64(mc)*m.Cfg.NUMAStep, logBytes)
 	c.cycle = proceed
-	var old int64
-	if m.Cfg.Recoverable {
-		old = m.NVM.Load(addr) // journal needs the pre-store NVM word
-	}
-	m.NVM.Store(addr, val)
 	if m.tel != nil {
 		m.tel.PersistLat.Observe(admit - commit)
 		if proceed > commit {
@@ -604,17 +616,13 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 // to crashes: every store in one group carries the same persistence
 // timestamp, so a crash either sees the whole group or none of it).
 func (m *Machine) syncStore(c *core, addr, val int64, logged bool, commit int64) {
-	m.Mem.Store(addr, val)
-	c.l1d.Access(addr, true) // keep cache state warm; evictions immaterial here
-	if !m.Sch.Persist {
-		return
-	}
 	var old int64
 	if m.Cfg.Recoverable {
-		old = m.NVM.Load(addr)
+		old = m.Mem.Load(addr)
 	}
-	m.NVM.Store(addr, val)
-	if m.Cfg.Recoverable {
+	m.Mem.Store(addr, val)
+	c.l1d.Access(addr, true) // keep cache state warm; evictions immaterial here
+	if m.Sch.Persist && m.Cfg.Recoverable {
 		seq := int64(0)
 		if c.cur != nil {
 			seq = c.cur.info.Seq

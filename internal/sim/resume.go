@@ -25,8 +25,7 @@ func NewResumed(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec, cs
 	}
 	// Replace the fresh memory with the recovered NVM image. Caches start
 	// cold; architectural memory = NVM after a power cycle.
-	m.Mem = cs.NVM.Clone()
-	m.NVM = cs.NVM.Clone()
+	m.setImages(cs.NVM.Clone(), cs.NVM.Clone)
 
 	// Scrub the checkpoint area against the crash state's seal table before
 	// executing anything: a corrupted slot must surface as a typed error,
