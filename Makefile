@@ -61,13 +61,16 @@ bench-kernel-gotest:
 # telemetry and a tracer attached, at a fuzzed sample interval and stop
 # point), the persist-path models (WPQ pending drains and PB line times
 # against the plain maps they replaced, over operation sequences and
-# PB/WPQ sizes), the litmus spec grammar round-trip (spec string → plan →
-# spec), and the campaign-journal decoder (arbitrary bytes → longest
-# verifiable prefix, re-decode stable, fold never panics).
+# PB/WPQ sizes), the memory models (caches, DRAM cache and page image
+# against reference models over access streams), the litmus spec grammar
+# round-trip (spec string → plan → spec), and the campaign-journal decoder
+# (arbitrary bytes → longest verifiable prefix, re-decode stable, fold
+# never panics).
 fuzz-smoke:
 	$(GO) test ./internal/simtest -run xxx -fuzz FuzzKernelEquivalence -fuzztime 20s
 	$(GO) test ./internal/simtest -run xxx -fuzz FuzzThreadedEquivalence -fuzztime 10s
 	$(GO) test ./internal/persist -run xxx -fuzz FuzzPersistModels -fuzztime 10s
+	$(GO) test ./internal/mem -run xxx -fuzz FuzzMemModels -fuzztime 10s
 	$(GO) test ./internal/litmus -run xxx -fuzz FuzzLitmusSpec -fuzztime 10s
 	$(GO) test ./internal/service -run xxx -fuzz FuzzJournalDecode -fuzztime 10s
 

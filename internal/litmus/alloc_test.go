@@ -24,10 +24,10 @@ func newMachineBytes(t *testing.T, p *Prepared, cfg sim.Config) uint64 {
 
 // TestNewMachineAllocBudget pins what building one litmus-sized machine
 // under the default configuration costs. A litmus cell builds two machines
-// that touch a handful of lines, so the DRAM cache's tag store (1 MiB at
-// the default 8 MiB capacity) must be allocated only as sets are touched,
-// never up front. The eager remainder is dominated by the L1D and L2 tag
-// and LRU arrays (~290 KiB under DefaultConfig), which stay flat because
+// that touch a handful of lines, so the DRAM cache's tag store (256 KiB
+// at the default 8 MiB capacity) must be allocated only as sets are
+// touched, never up front. The eager remainder is dominated by the L1D and
+// L2 way slots (~270 KiB under DefaultConfig), which stay flat because
 // they sit on the per-access hot path.
 func TestNewMachineAllocBudget(t *testing.T) {
 	s, err := Parse("t0=S0.7,F,A2.9;t1=S1.8,C,S3.10;sch=cwsp;kern=fast;crashes=420")

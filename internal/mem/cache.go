@@ -1,5 +1,13 @@
 package mem
 
+// tagBias is xored into line tags and page keys so that none can equal
+// the empty marker 0: a line (an address shifted right by at least one
+// bit) or a page key agrees with its sign in bits 62 and 63, and the xor
+// makes those two bits differ. A zeroed table therefore starts all-empty,
+// with no sentinel fill pass, and no address — line −1 included — can
+// match a never-filled entry.
+const tagBias = 1 << 62
+
 // Cache is a set-associative cache model with true-LRU replacement and
 // per-line dirty bits. It models tags only (data lives in the functional
 // memory image); the machine uses it purely for hit/miss/eviction
@@ -9,26 +17,29 @@ type Cache struct {
 	lineShift uint
 	sets      int
 	ways      int
-	// tags[set*ways+way] = line tag (address >> lineShift) + 1, 0 empty.
-	// The +1 bias makes a freshly zeroed slice all-empty, so construction
-	// needs no sentinel fill pass.
-	tags  []int64
-	dirty []bool
-	// lru[set*ways+way] = recency counter; higher = more recent.
-	lru     []int64
-	lruTick int64
 	// setMask is sets-1 when sets is a power of two (index by mask, not
 	// modulo), else -1.
 	setMask int64
-	// mru[set] is the way of the set's last hit or fill — a lookup-order
-	// hint only (accesses revisit lines in bursts, so one predicted-way
-	// probe usually replaces the full scan); stale hints just miss the
-	// tag compare and fall back to the scan.
-	mru []int32
+	// slots[set*ways+way] is one way.
+	slots []slot
+	tick  int64
+	// last is the slot of the previous access and lastTag its tag (0,
+	// the empty marker, before the first access). That line is resident
+	// and its set's newest way, so a repeat of it needs no probe.
+	last    int
+	lastTag int64
 
 	Hits      int64
 	Misses    int64
 	Evictions int64
+}
+
+// slot is one cache way: tag is the line xor tagBias (0 empty) and stamp
+// is tick<<1 | dirty. Ticks are unique and rising, so comparing stamps
+// orders a set's ways by recency exactly as comparing ticks would.
+type slot struct {
+	tag   int64
+	stamp int64
 }
 
 // NewCache builds a cache of sizeBytes with the given associativity and
@@ -48,11 +59,8 @@ func NewCache(name string, sizeBytes, ways, lineBytes int) *Cache {
 		lineShift: log2(lineBytes),
 		sets:      sets,
 		ways:      ways,
-		tags:      make([]int64, sets*ways),
-		dirty:     make([]bool, sets*ways),
-		lru:       make([]int64, sets*ways),
+		slots:     make([]slot, sets*ways),
 		setMask:   setMask,
-		mru:       make([]int32, sets),
 	}
 }
 
@@ -86,56 +94,48 @@ type Evicted struct {
 // fill caused.
 func (c *Cache) Access(addr int64, write bool) (hit bool, ev Evicted) {
 	line := c.Line(addr)
-	set := c.set(line)
-	base := set * c.ways
-	c.lruTick++
-	tag := line + 1
-	if w := base + int(c.mru[set]); c.tags[w] == tag {
-		c.lru[w] = c.lruTick
-		if write {
-			c.dirty[w] = true
-		}
+	tag := line ^ tagBias
+	var dirty int64
+	if write {
+		dirty = 1
+	}
+	if tag == c.lastTag {
+		// Already its set's newest way: a fresh stamp would not reorder
+		// the set, so only the dirty bit can change.
+		c.slots[c.last].stamp |= dirty
 		c.Hits++
 		return true, Evicted{}
 	}
-	tags := c.tags[base : base+c.ways]
-	for w, t := range tags {
-		if t == tag {
-			c.lru[base+w] = c.lruTick
-			if write {
-				c.dirty[base+w] = true
-			}
-			c.mru[set] = int32(w)
+	c.tick++
+	base := c.set(line) * c.ways
+	ways := c.slots[base : base+c.ways]
+	for w := range ways {
+		if s := &ways[w]; s.tag == tag {
+			s.stamp = c.tick<<1 | s.stamp&1 | dirty
+			c.last, c.lastTag = base+w, tag
 			c.Hits++
 			return true, Evicted{}
 		}
 	}
 	c.Misses++
-	// Fill: choose an empty way or the LRU victim.
-	victim := base
-	lru := c.lru[base : base+c.ways]
-	for w, t := range tags {
-		if t == 0 {
-			victim = base + w
-			goto fill
-		}
-		if lru[w] < c.lru[victim] {
-			victim = base + w
+	// Fill the first way with the oldest stamp: the first empty way
+	// (stamp 0; a filled way's tick is at least 1) or the LRU victim.
+	victim, oldest := 0, ways[0].stamp
+	for w := 1; w < len(ways); w++ {
+		if s := ways[w].stamp; s < oldest {
+			victim, oldest = w, s
 		}
 	}
-	if c.tags[victim] != 0 {
-		ev = Evicted{Valid: true, Line: c.tags[victim] - 1, Dirty: c.dirty[victim]}
+	if oldest != 0 {
+		ev = Evicted{Valid: true, Line: ways[victim].tag ^ tagBias, Dirty: oldest&1 != 0}
 		c.Evictions++
 	}
-fill:
-	c.tags[victim] = tag
-	c.dirty[victim] = write
-	c.lru[victim] = c.lruTick
-	c.mru[set] = int32(victim - base)
+	ways[victim] = slot{tag: tag, stamp: c.tick<<1 | dirty}
+	c.last, c.lastTag = base+victim, tag
 	return false, ev
 }
 
-// The DRAM cache's tags come in chunks of 1<<dramChunkShift sets (32 KiB).
+// The DRAM cache's tags come in chunks of 1<<dramChunkShift sets (8 KiB).
 // The first dramLazyChunks touched are allocated alone, so a machine that
 // touches a few lines (a litmus machine touches two) never pays for the
 // whole store; touching more allocates the rest at once, so a running
@@ -146,16 +146,29 @@ const (
 	dramLazyChunks = 2
 )
 
+// dramFar is the DRAM tag of a far line, whose quotient does not fit in
+// a tag: the set's full line is kept in DRAMCache.far instead.
+const dramFar = 0xFFFF
+
 // DRAMCache is the direct-mapped DRAM cache (LLC) used in PMEM memory mode
-// and the CXL configurations: one tag per set, with the same +1 bias as
-// Cache (0 = empty). It keeps no dirty bits: WSP drops dirty victims (the
-// persist path already carried the data).
+// and the CXL configurations. Each set holds one uint16 tag: the line's
+// quotient by the set count (its bits above the set index when the count
+// is a power of two) plus one, 0 for empty. The set and the quotient
+// determine the line, so equal tags mean equal lines. A line whose
+// quotient is dramFar-1 or more — under the default geometry an address
+// at or above 2^39, or a negative one — is far: its set's tag is dramFar
+// and its full line sits in the far map. It keeps no dirty bits: WSP
+// drops dirty victims (the persist path already carried the data).
 type DRAMCache struct {
 	lineShift uint
 	sets      int
-	setMask   int64     // sets-1 when sets is a power of two, else -1
-	chunks    [][]int64 // chunks[set>>dramChunkShift]; nil until allocated
-	lazy      int       // chunks allocated one at a time so far
+	setMask   int64      // sets-1 when sets is a power of two, else -1
+	setShift  uint       // log2(sets) when setMask >= 0
+	chunks    [][]uint16 // chunks[set>>dramChunkShift]; nil until allocated
+	lazy      int        // chunks allocated one at a time so far
+	// far maps each set that has held a far line to the last one, read
+	// only while the set's tag is dramFar; nil until the first far fill.
+	far map[int]int64
 
 	Hits   int64
 	Misses int64
@@ -175,42 +188,55 @@ func NewDRAMCache(sizeBytes, lineBytes int) *DRAMCache {
 		lineShift: log2(lineBytes),
 		sets:      sets,
 		setMask:   setMask,
-		chunks:    make([][]int64, (sets+1<<dramChunkShift-1)>>dramChunkShift),
+		setShift:  log2(sets),
+		chunks:    make([][]uint16, (sets+1<<dramChunkShift-1)>>dramChunkShift),
 	}
 }
 
 // Access performs an access, filling on miss, and returns the hit status.
 func (d *DRAMCache) Access(addr int64) (hit bool) {
-	line := addr >> d.lineShift
+	line := uint64(addr >> d.lineShift)
 	var set int
+	var q uint64
 	if d.setMask >= 0 {
-		set = int(uint64(line) & uint64(d.setMask))
+		set, q = int(line&uint64(d.setMask)), line>>d.setShift
 	} else {
-		set = int(uint64(line) % uint64(d.sets))
+		q = line / uint64(d.sets)
+		set = int(line - q*uint64(d.sets))
 	}
 	chunk := d.chunks[set>>dramChunkShift]
 	if chunk == nil {
 		chunk = d.alloc(set >> dramChunkShift)
 	}
-	tag := &chunk[set&(1<<dramChunkShift-1)]
-	if *tag == line+1 {
+	t := &chunk[set&(1<<dramChunkShift-1)]
+	tag := uint16(dramFar)
+	if q < dramFar-1 {
+		tag = uint16(q + 1)
+	}
+	if *t == tag && (tag != dramFar || d.far[set] == int64(line)) {
 		d.Hits++
 		return true
 	}
 	d.Misses++
-	*tag = line + 1
+	if tag == dramFar {
+		if d.far == nil {
+			d.far = map[int]int64{}
+		}
+		d.far[set] = int64(line)
+	}
+	*t = tag
 	return false
 }
 
 // alloc allocates tag chunk i: alone while fewer than dramLazyChunks
 // have been, otherwise as part of one array holding every set.
-func (d *DRAMCache) alloc(i int) []int64 {
+func (d *DRAMCache) alloc(i int) []uint16 {
 	if d.lazy < dramLazyChunks {
 		d.lazy++
-		d.chunks[i] = make([]int64, min(1<<dramChunkShift, d.sets-i<<dramChunkShift))
+		d.chunks[i] = make([]uint16, min(1<<dramChunkShift, d.sets-i<<dramChunkShift))
 		return d.chunks[i]
 	}
-	all := make([]int64, d.sets)
+	all := make([]uint16, d.sets)
 	for j, c := range d.chunks {
 		lo := j << dramChunkShift
 		d.chunks[j] = all[lo:min(lo+1<<dramChunkShift, d.sets)]

@@ -2,8 +2,10 @@ package mem
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPagedMemBasic(t *testing.T) {
@@ -224,6 +226,23 @@ func TestDRAMCacheLazyChunks(t *testing.T) {
 		if got := d.Access(line * 64); got != want {
 			t.Fatalf("access %d (line %d): hit=%v, want %v", i, line, got, want)
 		}
+	}
+
+	// A fully touched 8 MiB cache holds 2 bytes per set: its tags, plus
+	// the lazily allocated chunks the bulk fill replaced.
+	const bigSets = 8 << 20 / 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d = NewDRAMCache(bigSets*64, 64)
+	for set := int64(0); set < bigSets; set++ {
+		d.Access(set * 64)
+	}
+	runtime.ReadMemStats(&after)
+	if _, held := allocated(d); held != bigSets || unsafe.Sizeof(d.chunks[0][0]) != 2 {
+		t.Errorf("%d sets held at %d bytes each, want %d at 2", held, unsafe.Sizeof(d.chunks[0][0]), bigSets)
+	}
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(2*bigSets+2*dramLazyChunks*chunkSets+4<<10); got > want {
+		t.Errorf("touching every set of an 8 MiB DRAM cache allocated %d bytes, want at most %d", got, want)
 	}
 }
 

@@ -13,17 +13,26 @@ const (
 	pageMask  = pageWords - 1
 )
 
-// pcEntries is the size of the per-image direct-mapped page-pointer
-// cache that short-circuits the page map on the hot Load/Store paths.
-const pcEntries = 256
+// pcBits sizes the per-image page-lookup cache (1<<pcBits entries) that
+// short-circuits the page map on the hot Load/Store paths.
+const pcBits = 10
+
+// pcEntry caches one page lookup: key is the page key xor tagBias (0 for
+// an unused entry) and page its page, nil when the page is absent.
+type pcEntry struct {
+	key  int64
+	page *[pageWords]int64
+}
 
 // PagedMem is a sparse, word-granularity memory image. Addresses are byte
 // addresses; accesses are aligned 8-byte words. Pages are allocated on
-// first write, so multi-megabyte footprints stay cheap. A small
-// direct-mapped cache of page pointers keeps the simulator's hot
-// load/store loops off the map hash for the (overwhelmingly common)
-// repeated-page accesses; it is transparent — the map remains the sole
-// owner of every page.
+// first write, so multi-megabyte footprints stay cheap. A direct-mapped
+// cache of page lookups, indexed by a multiplicative hash of the page key
+// so that the 4 MiB-aligned areas of the address map do not share an
+// entry, keeps the simulator's hot load/store loops off the map hash. It
+// remembers absent pages too (Store refreshes the entry when it allocates
+// one), and it is transparent: the map remains the sole owner of every
+// page.
 //
 // A PagedMem belongs to one goroutine at a time: Load as well as Store
 // writes the page cache. Equal, Diff, EqualWhere, Digest, and Clone read
@@ -31,9 +40,7 @@ const pcEntries = 256
 // nobody is writing; a goroutine that needs Load takes its own Clone.
 type PagedMem struct {
 	pages map[int64]*[pageWords]int64
-
-	cacheKey  [pcEntries]int64
-	cachePage [pcEntries]*[pageWords]int64
+	cache [1 << pcBits]pcEntry
 }
 
 // NewPagedMem returns an empty image.
@@ -41,17 +48,20 @@ func NewPagedMem() *PagedMem {
 	return &PagedMem{pages: map[int64]*[pageWords]int64{}}
 }
 
+// entry returns the page-cache entry for key (Fibonacci hashing).
+func (m *PagedMem) entry(key int64) *pcEntry {
+	return &m.cache[uint64(key)*0x9E3779B97F4A7C15>>(64-pcBits)]
+}
+
 // page returns the resident page for key (nil when absent), consulting
-// the pointer cache first.
+// the page cache first and leaving key's lookup in it.
 func (m *PagedMem) page(key int64) *[pageWords]int64 {
-	i := key & (pcEntries - 1)
-	if p := m.cachePage[i]; p != nil && m.cacheKey[i] == key {
-		return p
+	e := m.entry(key)
+	if e.key == key^tagBias {
+		return e.page
 	}
 	p := m.pages[key]
-	if p != nil {
-		m.cacheKey[i], m.cachePage[i] = key, p
-	}
+	e.key, e.page = key^tagBias, p
 	return p
 }
 
@@ -73,8 +83,7 @@ func (m *PagedMem) Store(addr, val int64) {
 	if p == nil {
 		p = new([pageWords]int64)
 		m.pages[key] = p
-		i := key & (pcEntries - 1)
-		m.cacheKey[i], m.cachePage[i] = key, p
+		m.entry(key).page = p // page left key's entry in place
 	}
 	p[w&pageMask] = val
 }

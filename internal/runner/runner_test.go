@@ -157,15 +157,21 @@ func TestPoolCancelsOnFirstHardError(t *testing.T) {
 
 func TestPoolReportsEarliestError(t *testing.T) {
 	// Both cells fail on a 2-wide pool; the reported error must be the
-	// earliest in input order regardless of completion order.
+	// earliest in input order regardless of completion order. Cell 1
+	// fails only once cell 0 has started: a worker that dequeued cell 0
+	// but had not yet run it would see the batch cancel cell 1's failure
+	// closes and skip it, leaving no earlier failure to report.
 	var gate sync.WaitGroup
 	gate.Add(1)
+	started := make(chan struct{})
 	cells := []Cell[int]{
 		{Key: simKey(0), Run: func() (int, error) {
+			close(started)
 			gate.Wait() // finish after cell 1
 			return 0, errors.New("first")
 		}},
 		{Key: simKey(1), Run: func() (int, error) {
+			<-started
 			gate.Done()
 			return 0, errors.New("second")
 		}},

@@ -70,7 +70,8 @@ func (m *Machine) step(c *core) error {
 		return nil
 	case ir.OpCall:
 		m.stats.Calls++
-		m.handleCall(c, f, in)
+		cs := m.resolveCall(f.fn, f.blk, f.pc, in)
+		m.handleCall(c, f, in, &cs)
 		return nil
 	}
 

@@ -76,15 +76,15 @@ type tProg struct {
 
 // --- translation ------------------------------------------------------------
 
-func translateProgram(p *ir.Program) *tProg {
-	tp := &tProg{fns: make(map[*ir.Function]*tFunc, len(p.Funcs))}
-	for _, fn := range p.Funcs {
-		tp.fns[fn] = translateFunc(fn)
+func translateProgram(m *Machine) *tProg {
+	tp := &tProg{fns: make(map[*ir.Function]*tFunc, len(m.Prog.Funcs))}
+	for _, fn := range m.Prog.Funcs {
+		tp.fns[fn] = translateFunc(m, fn)
 	}
 	return tp
 }
 
-func translateFunc(fn *ir.Function) *tFunc {
+func translateFunc(m *Machine, fn *ir.Function) *tFunc {
 	tf := &tFunc{base: make([]int, len(fn.Blocks))}
 	n := 0
 	for bi, b := range fn.Blocks {
@@ -97,7 +97,7 @@ func translateFunc(fn *ir.Function) *tFunc {
 		for ii := range b.Instrs {
 			flat := tf.base[bi] + ii
 			tf.loc[flat] = ir.InstrRef{Block: bi, Index: ii}
-			tf.code[flat] = tf.translate(fn, bi, ii)
+			tf.code[flat] = tf.translate(m, fn, bi, ii)
 		}
 	}
 	// Superinstruction pass: fuse compare+branch pairs. The branch slot
@@ -382,7 +382,7 @@ func superRun(bares []func(*frame), tail tOp, start, k int) tOp {
 // sequencing inside each closure replicates the reference kernel's step
 // (reference.go) arm for arm: the driver has already done the MaxSteps
 // check and counted the instruction when a closure runs.
-func (tf *tFunc) translate(fn *ir.Function, bi, ii int) tOp {
+func (tf *tFunc) translate(m *Machine, fn *ir.Function, bi, ii int) tOp {
 	in := &fn.Blocks[bi].Instrs[ii]
 	next := tf.base[bi] + ii + 1
 	dst := in.Dst
@@ -555,10 +555,11 @@ func (tf *tFunc) translate(fn *ir.Function, bi, ii int) tOp {
 			return tf.base[f.blk] + f.pc
 		}
 	case ir.OpCall:
+		cs := m.resolveCall(fn, bi, ii, in)
 		return func(m *Machine, c *core, f *frame) int {
 			m.stats.Calls++
 			f.blk, f.pc = bi, ii
-			m.handleCall(c, f, in)
+			m.handleCall(c, f, in, &cs)
 			return tcResync
 		}
 
@@ -929,7 +930,7 @@ func (tf *tFunc) fuseCmpBr(fn *ir.Function, bi, ii int) tOp {
 // exactly the core the per-instruction rescan would have picked.
 func (m *Machine) runThreaded(crash int64) error {
 	if m.tc == nil {
-		m.tc = translateProgram(m.Prog)
+		m.tc = translateProgram(m)
 	}
 	if len(m.cores) == 1 {
 		// Single-core machines (most sweeps) need no scheduling at all.
