@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke bench-check bench-baseline bench-kernel-gotest fuzz-smoke torture-smoke torture litmus-smoke litmus cwspd-smoke chaos-smoke service-load service-check service-baseline lint repro repro-quick examples trace metrics clean
+.PHONY: all build test test-short bench benchmark bench-smoke bench-kernel-gotest fuzz-smoke torture-smoke torture litmus-smoke litmus cwspd-smoke chaos-smoke service-load lint repro repro-quick examples trace metrics clean
 
 all: build test
 
@@ -19,32 +19,22 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# End-to-end exercise of the parallel experiment runner: one figure on a
-# 4-wide pool with a persistent cache, run twice — the second invocation
-# must be served entirely from the store. The cold run emits the bench
-# trajectory record BENCH_smoke.json (gitignored; gate it with
-# `make bench-check`, refresh the committed baseline with
-# `make bench-baseline`).
+# Every BENCHMARK.json workload for one second: builds the benchmark from
+# source into .bench_build/ (gitignored) and stops at the first workload
+# that errors or has an output that does not match benchmark/golden.json.
+benchmark:
+	for w in sim-persist sim-base repro-smoke service-mix; do \
+		bash benchmark/run.sh --workload $$w --seconds 1 || exit 1; \
+	done
+
+# End-to-end exercise of the parallel experiment runner through the
+# cwspbench CLI: one figure on a 4-wide pool with a persistent cache, run
+# twice — the second invocation is served from the store.
 bench-smoke:
 	rm -rf .cwsp-cache-smoke
-	$(GO) run ./cmd/cwspbench -exp fig06 -scale smoke -jobs 4 -cache-dir .cwsp-cache-smoke -bench-out BENCH_smoke.json
+	$(GO) run ./cmd/cwspbench -exp fig06 -scale smoke -jobs 4 -cache-dir .cwsp-cache-smoke
 	$(GO) run ./cmd/cwspbench -exp fig06 -scale smoke -jobs 4 -cache-dir .cwsp-cache-smoke
 	rm -rf .cwsp-cache-smoke
-
-# Gate the freshest BENCH_smoke.json against the committed baseline:
-# structural metrics (cell counts) always enforced; latency quantiles
-# enforced when the host fingerprint matches the baseline's; wall-clock
-# advisory. Exit 1 on regression beyond the 15% tolerance.
-bench-check: BENCH_smoke.json
-	$(GO) run ./cmd/cwspbench -bench-in BENCH_smoke.json -bench-check baselines/BENCH_smoke.json
-
-BENCH_smoke.json:
-	$(MAKE) bench-smoke
-
-# Refresh the committed baseline from a fresh cold run on this machine.
-bench-baseline:
-	$(MAKE) bench-smoke
-	cp BENCH_smoke.json baselines/BENCH_smoke.json
 
 # Simulation-kernel throughput per cell (quick-scale workloads × schemes
 # × core counts) as go-test benchmarks with allocation counts, each cell
@@ -118,28 +108,11 @@ chaos-smoke:
 	$(GO) build -o bin/cwspload ./cmd/cwspload
 	./bin/cwspload -spawn-bin ./bin/cwspd -chaos -chaos-kills 20 -chaos-campaigns 6 -seed 1 -q
 
-# Load-generate against an in-process daemon: 32 concurrent clients over
-# mixed cold/warm campaign traffic, zero dropped campaigns required. The
-# run emits the service bench trajectory record BENCH_service.json
-# (gitignored; gate it with `make service-check`, refresh the committed
-# baseline with `make service-baseline`).
+# Load-generate against an in-process daemon through the cwspload CLI: 32
+# concurrent clients over mixed cold/warm campaign traffic; exits 1 on any
+# dropped campaign.
 service-load:
-	$(GO) run ./cmd/cwspload -spawn -clients 32 -requests 2 -warm-seeds 2 -seed 1 -poll 5ms -q -bench-out BENCH_service.json
-
-# Gate the freshest BENCH_service.json against the committed baseline:
-# client count, dropped-campaign count, and warm cache-hit ratio enforced
-# anywhere; request latency, throughput, and queue depth are wall-clock
-# (queue-wait dominated) and advisory unless -bench-strict.
-service-check: BENCH_service.json
-	$(GO) run ./cmd/cwspload -bench-in BENCH_service.json -bench-check baselines/BENCH_service.json
-
-BENCH_service.json:
-	$(MAKE) service-load
-
-# Refresh the committed service baseline from a fresh run on this machine.
-service-baseline:
-	$(MAKE) service-load
-	cp BENCH_service.json baselines/BENCH_service.json
+	$(GO) run ./cmd/cwspload -spawn -clients 32 -requests 2 -warm-seeds 2 -seed 1 -poll 5ms -q
 
 # Static soundness verification: vet, staticcheck (when installed; CI pins
 # it), then the independent persistence checker over the checked-in

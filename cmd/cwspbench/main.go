@@ -18,26 +18,19 @@
 //
 // A running sweep is observable over HTTP (-http): Prometheus /metrics,
 // a JSON /progress snapshot, an SSE /events stream, and /debug/pprof.
-// The bench trajectory is tracked with -bench-out (emit a versioned
-// BENCH_<name>.json record) and -bench-check (gate a record against a
-// committed baseline; see `make bench-check`):
 //
 //	cwspbench -exp all -jobs 8 -http :8080
-//	cwspbench -exp fig06 -bench-out BENCH_smoke.json
-//	cwspbench -bench-in BENCH_smoke.json -bench-check baselines/BENCH_smoke.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"cwsp/internal/bench"
 	"cwsp/internal/telemetry"
-	"cwsp/internal/telemetry/benchfmt"
 	"cwsp/internal/telemetry/live"
 	"cwsp/internal/workloads"
 )
@@ -55,11 +48,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "persistent per-cell result cache; repeated sweeps become cache hits")
 		resume   = flag.Bool("resume", true, "serve cells from an existing cache (false recomputes and refreshes it)")
 		httpAddr = flag.String("http", "", "serve the live observability endpoint (/metrics, /progress, /events, /debug/pprof) on this address")
-		benchOut = flag.String("bench-out", "", "emit a benchfmt trajectory record (BENCH_<name>.json) for this sweep")
-		benchIn  = flag.String("bench-in", "", "with -bench-check: compare this existing record instead of running experiments")
-		checkVs  = flag.String("bench-check", "", "gate the sweep's record against this baseline record; exit 1 on regression")
-		strict   = flag.Bool("bench-strict", false, "enforce wall-clock gates even across differing host fingerprints")
-		tol      = flag.Float64("bench-tol", 0.15, "fractional regression tolerance for bench-check")
 		verbose  = flag.Bool("v", false, "progress output")
 	)
 	flag.Parse()
@@ -71,20 +59,12 @@ func main() {
 		return
 	}
 
-	// Compare-only mode: gate an existing record without simulating.
-	if *benchIn != "" {
-		if *checkVs == "" {
-			fatal(fmt.Errorf("-bench-in needs -bench-check <baseline>"))
-		}
-		cur, err := benchfmt.ReadFile(*benchIn)
-		if err != nil {
-			fatal(err)
-		}
-		os.Exit(checkRecord(cur, *checkVs, *tol, *strict))
+	sc, err := workloads.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
 	}
-
 	opt := bench.Options{
-		Scale:    scaleOf(*scale),
+		Scale:    sc,
 		PerApp:   *perApp,
 		Jobs:     *jobs,
 		CacheDir: *cacheDir,
@@ -124,9 +104,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cwspbench: need -exp <id>, -exp all, or -all (see -list)")
 		os.Exit(2)
 	}
-
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
 
 	var reports []telemetry.BenchReport
 	for _, id := range ids {
@@ -175,64 +152,6 @@ func main() {
 		if err := fh.Close(); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *benchOut != "" || *checkVs != "" {
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		name := "smoke"
-		if *benchOut != "" {
-			name = benchfmt.NameFromPath(*benchOut)
-		} else if *checkVs != "" {
-			name = benchfmt.NameFromPath(*checkVs)
-		}
-		rec := benchfmt.New(name, "cwspbench")
-		rec.Salt = bench.ResultsSalt
-		rec.Scale = opt.Scale.Name
-		rec.Experiments = ids
-		rec.FromRunner(h.RunnerSummary())
-		rec.Allocs = memAfter.Mallocs - memBefore.Mallocs
-		rec.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
-		if *benchOut != "" {
-			if err := rec.WriteFile(*benchOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "cwspbench: wrote trajectory record %s\n", *benchOut)
-		}
-		if *checkVs != "" {
-			os.Exit(checkRecord(rec, *checkVs, *tol, *strict))
-		}
-	}
-}
-
-// checkRecord gates cur against the baseline at path; returns the exit
-// code (0 pass, 1 regression).
-func checkRecord(cur *benchfmt.Record, baselinePath string, tol float64, strict bool) int {
-	base, err := benchfmt.ReadFile(baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	cmp, err := benchfmt.Compare(base, cur, benchfmt.CompareOptions{Tol: tol, Strict: strict})
-	if err != nil {
-		fatal(err)
-	}
-	cmp.Write(os.Stdout)
-	if cmp.Failed() {
-		fmt.Fprintln(os.Stderr, "cwspbench: bench-check FAILED: enforced metric regressed beyond tolerance")
-		return 1
-	}
-	fmt.Println("bench-check: ok")
-	return 0
-}
-
-func scaleOf(s string) workloads.Scale {
-	switch s {
-	case "full":
-		return workloads.Full
-	case "smoke":
-		return workloads.Smoke
-	default:
-		return workloads.Quick
 	}
 }
 

@@ -38,6 +38,10 @@ func main() {
 		emitIR  = flag.String("emit-ir", "", "write the compiled program in the text interchange format to this file")
 	)
 	flag.Parse()
+	sc, err := workloads.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
+	}
 
 	if *list {
 		for _, w := range workloads.All() {
@@ -64,7 +68,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prog = w.Build(scaleOf(*scale))
+		prog = w.Build(sc)
 	default:
 		fmt.Fprintln(os.Stderr, "cwspc: need -src <file.mc>, -w <workload>, or -seed <n>; see -list")
 		os.Exit(2)
@@ -118,17 +122,6 @@ func main() {
 	if *dump {
 		fmt.Println()
 		fmt.Print(out.Dump())
-	}
-}
-
-func scaleOf(s string) workloads.Scale {
-	switch s {
-	case "full":
-		return workloads.Full
-	case "smoke":
-		return workloads.Smoke
-	default:
-		return workloads.Quick
 	}
 }
 

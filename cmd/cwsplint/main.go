@@ -45,6 +45,10 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	sc, err := workloads.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
+	}
 
 	if flag.NArg() == 0 && *seed < 0 && *wName == "" {
 		flag.Usage()
@@ -118,7 +122,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		compileAndCheck("workload "+*wName, w.Build(scaleOf(*scale)))
+		compileAndCheck("workload "+*wName, w.Build(sc))
 	}
 
 	if *asJSON {
@@ -149,17 +153,6 @@ func merge(dst *check.Report, label string, rep *check.Report) {
 			d.Fn = label + ":" + d.Fn
 		}
 		dst.Diags = append(dst.Diags, d)
-	}
-}
-
-func scaleOf(s string) workloads.Scale {
-	switch s {
-	case "full":
-		return workloads.Full
-	case "smoke":
-		return workloads.Smoke
-	default:
-		return workloads.Quick
 	}
 }
 

@@ -23,11 +23,6 @@
 // byte-identical to an uninterrupted run.
 //
 //	cwspload -spawn-bin ./bin/cwspd -chaos -chaos-kills 20 -seed 1
-//
-// The run's profile lands on the bench trajectory like any other sweep:
-//
-//	cwspload -spawn -bench-out BENCH_service.json
-//	cwspload -bench-in BENCH_service.json -bench-check baselines/BENCH_service.json
 package main
 
 import (
@@ -46,7 +41,6 @@ import (
 
 	"cwsp/internal/service"
 	"cwsp/internal/telemetry"
-	"cwsp/internal/telemetry/benchfmt"
 )
 
 func main() {
@@ -72,27 +66,10 @@ func main() {
 		seed     = flag.Int64("seed", 1, "traffic-mix seed")
 		poll     = flag.Duration("poll", 25*time.Millisecond, "campaign completion poll interval")
 
-		metOut   = flag.String("metrics-out", "", "write a telemetry manifest (with service info) to this file")
-		benchOut = flag.String("bench-out", "", "emit a benchfmt trajectory record (BENCH_<name>.json) for this run")
-		benchIn  = flag.String("bench-in", "", "with -bench-check: compare this existing record instead of running load")
-		checkVs  = flag.String("bench-check", "", "gate the run's record against this baseline record; exit 1 on regression")
-		strict   = flag.Bool("bench-strict", false, "enforce wall-clock gates even across differing host fingerprints")
-		tol      = flag.Float64("bench-tol", 0.15, "fractional regression tolerance for bench-check")
-		quiet    = flag.Bool("q", false, "suppress progress lines")
+		metOut = flag.String("metrics-out", "", "write a telemetry manifest (with service info) to this file")
+		quiet  = flag.Bool("q", false, "suppress progress lines")
 	)
 	flag.Parse()
-
-	// Compare-only mode: gate an existing record without generating load.
-	if *benchIn != "" {
-		if *checkVs == "" {
-			fatal(fmt.Errorf("-bench-in needs -bench-check <baseline>"))
-		}
-		cur, err := benchfmt.ReadFile(*benchIn)
-		if err != nil {
-			fatal(err)
-		}
-		os.Exit(checkRecord(cur, *checkVs, *tol, *strict))
-	}
 
 	var log io.Writer
 	if !*quiet {
@@ -208,31 +185,6 @@ func main() {
 		}
 		if err := fh.Close(); err != nil {
 			fatal(err)
-		}
-	}
-
-	if *benchOut != "" || *checkVs != "" {
-		name := "service"
-		if *benchOut != "" {
-			name = benchfmt.NameFromPath(*benchOut)
-		} else if *checkVs != "" {
-			name = benchfmt.NameFromPath(*checkVs)
-		}
-		rec := benchfmt.New(name, "cwspload")
-		rec.WallMS = rep.WallMS
-		rec.Cells = rep.CellsDone
-		if rep.WallMS > 0 {
-			rec.CellsPerSec = rep.CellsPerSec
-		}
-		rec.Service = rep.Profile()
-		if *benchOut != "" {
-			if err := rec.WriteFile(*benchOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "cwspload: wrote trajectory record %s\n", *benchOut)
-		}
-		if *checkVs != "" {
-			os.Exit(checkRecord(rec, *checkVs, *tol, *strict))
 		}
 	}
 }
@@ -399,26 +351,6 @@ func ensureCacheDir(dir string) (string, func(), error) {
 		return "", nil, err
 	}
 	return tmp, func() { os.RemoveAll(tmp) }, nil
-}
-
-// checkRecord gates cur against the baseline at path; returns the exit
-// code (0 pass, 1 regression).
-func checkRecord(cur *benchfmt.Record, baselinePath string, tol float64, strict bool) int {
-	base, err := benchfmt.ReadFile(baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	cmp, err := benchfmt.Compare(base, cur, benchfmt.CompareOptions{Tol: tol, Strict: strict})
-	if err != nil {
-		fatal(err)
-	}
-	cmp.Write(os.Stdout)
-	if cmp.Failed() {
-		fmt.Fprintln(os.Stderr, "cwspload: bench-check FAILED: enforced metric regressed beyond tolerance")
-		return 1
-	}
-	fmt.Println("bench-check: ok")
-	return 0
 }
 
 func fatal(err error) {

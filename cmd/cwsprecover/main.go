@@ -52,6 +52,10 @@ func main() {
 		httpAddr = flag.String("http", "", "serve the live observability endpoint (/metrics, /progress, /events, /debug/pprof) on this address")
 	)
 	flag.Parse()
+	sc, err := workloads.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
+	}
 
 	var bus *live.Bus
 	if *httpAddr != "" {
@@ -74,7 +78,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prog = w.Build(scaleOf(*scale))
+		prog = w.Build(sc)
 	default:
 		fmt.Fprintln(os.Stderr, "cwsprecover: need -w <workload> or -seed <n>")
 		os.Exit(2)
@@ -175,17 +179,6 @@ func report(r *recovery.CheckResult) {
 		fmt.Printf("  recovered: NVM identical to golden after %d re-executed instructions\n", r.ReExecuted)
 	} else {
 		fmt.Printf("  MISMATCH at addresses %v\n", r.DiffAddrs)
-	}
-}
-
-func scaleOf(s string) workloads.Scale {
-	switch s {
-	case "full":
-		return workloads.Full
-	case "quick":
-		return workloads.Quick
-	default:
-		return workloads.Smoke
 	}
 }
 

@@ -45,6 +45,10 @@ func main() {
 		kernel  = flag.String("kernel", "threaded", "simulation kernel: threaded (translate-once closure arrays) or reference (the legacy per-instruction stepper); bit-identical, for cross-checking")
 	)
 	flag.Parse()
+	sc, err := workloads.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
+	}
 	if *wName == "" && *mt == 0 && *irFile == "" {
 		fmt.Fprintln(os.Stderr, "cwspsim: need -w <workload>, -ir <file>, or -mt <cores> (see cwspc -list)")
 		os.Exit(2)
@@ -103,7 +107,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prog = w.Build(scaleOf(*scale))
+		prog = w.Build(sc)
 		specs = []sim.ThreadSpec{{Fn: prog.Entry}}
 	}
 	run := prog
@@ -247,17 +251,6 @@ func printStats(app, scheme string, s sim.Stats) {
 	fmt.Printf("stalls: PB %d  RBT %d  WB %d  drain %d  boundary %d  wpq-load %d\n",
 		s.PBStallCyc, s.RBTStallCyc, s.WBStallCyc, s.DrainStallCyc, s.BoundaryStall, s.WPQLoadDelay)
 	fmt.Printf("L1D miss %.3f  WB avg occupancy %.3f\n\n", s.L1DMissRate(), s.WBAvgOcc)
-}
-
-func scaleOf(s string) workloads.Scale {
-	switch s {
-	case "full":
-		return workloads.Full
-	case "smoke":
-		return workloads.Smoke
-	default:
-		return workloads.Quick
-	}
 }
 
 func fatal(err error) {

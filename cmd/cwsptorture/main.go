@@ -59,6 +59,10 @@ func main() {
 		progress = flag.Bool("progress", true, "live one-line progress/ETA ticker on stderr")
 	)
 	flag.Parse()
+	sc, err := workloads.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
+	}
 
 	var targets []recovery.TortureTarget
 	for _, name := range strings.Split(*wList, ",") {
@@ -70,7 +74,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prog, _, err := compiler.Compile(w.Build(scaleOf(*scale)), compiler.DefaultOptions())
+		prog, _, err := compiler.Compile(w.Build(sc), compiler.DefaultOptions())
 		if err != nil {
 			fatal(fmt.Errorf("compile %s: %w", name, err))
 		}
@@ -264,17 +268,6 @@ func sealFlag(unsealed bool) string {
 		return " -unsealed"
 	}
 	return ""
-}
-
-func scaleOf(s string) workloads.Scale {
-	switch s {
-	case "full":
-		return workloads.Full
-	case "quick":
-		return workloads.Quick
-	default:
-		return workloads.Smoke
-	}
 }
 
 func fatal(err error) {

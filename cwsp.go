@@ -114,12 +114,9 @@ func RunExperiment(id, scale string, log io.Writer) (*ExperimentReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := workloads.Quick
-	switch scale {
-	case "full":
-		s = workloads.Full
-	case "smoke":
-		s = workloads.Smoke
+	s, err := workloads.ScaleByName(scale)
+	if err != nil {
+		return nil, err
 	}
 	h := bench.NewHarness(bench.Options{Scale: s, Log: log})
 	return e.Run(h)

@@ -77,4 +77,7 @@ func TestFacadeRunExperiment(t *testing.T) {
 	if _, err := RunExperiment("nope", "smoke", nil); err == nil {
 		t.Error("unknown experiment should fail")
 	}
+	if rep, err := RunExperiment("hwcost", "smok", nil); err == nil {
+		t.Errorf("unknown scale should fail, got a report with %d rows", len(rep.Rows))
+	}
 }

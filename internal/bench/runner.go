@@ -13,7 +13,7 @@ import (
 // it whenever the simulator, compiler, or workload generators change
 // results: every previously cached cell is invalidated at once (old shards
 // are orphaned by signature, not deleted). It is exported so run manifests
-// and bench-trajectory records can tie a sweep to its cache generation.
+// can tie a sweep to its cache generation.
 const ResultsSalt = "cwsp-sim-v1"
 
 const resultsSalt = ResultsSalt

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cwsp/internal/telemetry/benchfmt"
 )
 
 // LoadOptions configure a load-generation run against a daemon.
@@ -69,25 +67,17 @@ type LoadReport struct {
 
 	// ReqLatencyUS digests end-to-end request latency (submit → terminal
 	// state), microseconds.
-	ReqLatencyUS benchfmt.Quantiles `json:"req_latency_us"`
+	ReqLatencyUS Quantiles `json:"req_latency_us"`
 
 	QueueDepthMax  int64   `json:"queue_depth_max"`
 	QueueDepthMean float64 `json:"queue_depth_mean"`
 }
 
-// Profile converts the report to the benchfmt trajectory shape.
-func (r *LoadReport) Profile() *benchfmt.ServiceProfile {
-	return &benchfmt.ServiceProfile{
-		Clients:        r.Clients,
-		Requests:       r.Requests,
-		Dropped:        r.Dropped,
-		Rejected429:    r.Rejected429,
-		RequestsPerSec: r.RequestsPerSec,
-		WarmHitRatio:   r.WarmHitRatio,
-		ReqLatencyUS:   r.ReqLatencyUS,
-		QueueDepthMax:  r.QueueDepthMax,
-		QueueDepthMean: r.QueueDepthMean,
-	}
+// Quantiles is a latency digest in one unit.
+type Quantiles struct {
+	P50 float64 `json:"p50"`
+	P95 float64 `json:"p95"`
+	P99 float64 `json:"p99"`
 }
 
 // RunLoad hammers the daemon at base with Clients concurrent clients over
@@ -211,7 +201,7 @@ func RunLoad(ctx context.Context, base string, opts LoadOptions) (*LoadReport, e
 				latUS = append(latUS, float64(lat.Microseconds()))
 				if v.State != StateDone {
 					// A failed/aborted campaign is lost work: record it so
-					// RunLoad returns an error even without -bench-check.
+					// RunLoad returns an error, not just a Dropped count.
 					dropped++
 					if firstErr == nil {
 						firstErr = fmt.Errorf("campaign %s ended %s: %s", v.ID, v.State, v.Error)
@@ -259,16 +249,16 @@ func RunLoad(ctx context.Context, base string, opts LoadOptions) (*LoadReport, e
 }
 
 // quantiles digests a latency sample (microseconds).
-func quantiles(us []float64) benchfmt.Quantiles {
+func quantiles(us []float64) Quantiles {
 	if len(us) == 0 {
-		return benchfmt.Quantiles{}
+		return Quantiles{}
 	}
 	sort.Float64s(us)
 	at := func(q float64) float64 {
 		i := int(q * float64(len(us)-1))
 		return us[i]
 	}
-	return benchfmt.Quantiles{P50: at(0.50), P95: at(0.95), P99: at(0.99)}
+	return Quantiles{P50: at(0.50), P95: at(0.95), P99: at(0.99)}
 }
 
 func logf(w io.Writer, format string, args ...any) {

@@ -28,8 +28,15 @@ func TestServiceLoadMixedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Clients != 32 {
+		t.Fatalf("clients=%d, want 32", rep.Clients)
+	}
 	if rep.Requests != 64 {
 		t.Fatalf("requests=%d, want 64", rep.Requests)
+	}
+	// Each single-cell litmus campaign runs one base and one cwsp cell.
+	if rep.CellsDone != 128 {
+		t.Fatalf("cells_done=%d, want 128 (64 campaigns x 2 cells)", rep.CellsDone)
 	}
 	if rep.Dropped != 0 {
 		t.Fatalf("dropped %d campaigns under load", rep.Dropped)
@@ -50,14 +57,11 @@ func TestServiceLoadMixedTraffic(t *testing.T) {
 	if st.Completed != 64+2 { // 64 storm campaigns + 2 prewarm
 		t.Fatalf("completed=%d, want 66: %+v", st.Completed, st)
 	}
-	if report := rep.Profile(); report.Clients != 32 || report.Dropped != 0 {
-		t.Fatalf("profile mangled the report: %+v", report)
-	}
 }
 
 // A campaign that ends in a non-done terminal state is lost work: RunLoad
-// must return an error (cwspload exits non-zero) even without -bench-check,
-// not just count it in Dropped.
+// must return an error (cwspload exits non-zero), not just count it in
+// Dropped.
 func TestServiceLoadFailsOnDroppedCampaigns(t *testing.T) {
 	svc, base := startDaemon(t, Options{Queue: 8, Workers: 2})
 	svc.testRun = func(c *Campaign) (json.RawMessage, error) {

@@ -47,6 +47,24 @@ func waitState(t *testing.T, c *Campaign, state string) {
 	}
 }
 
+// A spec's scale keeps the daemon's smoke default for an empty or
+// unknown name, so a typo never changes the spec's cache key shape.
+func TestSpecScaleDefault(t *testing.T) {
+	for name, want := range map[string]workloads.Scale{
+		"": workloads.Smoke, "smok": workloads.Smoke, "Quick": workloads.Smoke,
+		"smoke": workloads.Smoke, "quick": workloads.Quick, "full": workloads.Full,
+	} {
+		s := Spec{Kind: KindSweep, Scale: name}
+		if got := s.ScaleOf(); got != want {
+			t.Errorf("ScaleOf(%q) before Normalize = %s, want %s", name, got.Name, want.Name)
+		}
+		s.Normalize()
+		if s.Scale != want.Name || s.ScaleOf() != want {
+			t.Errorf("Normalize(%q) = %q (%s), want %q", name, s.Scale, s.ScaleOf().Name, want.Name)
+		}
+	}
+}
+
 // A sweep submitted twice is byte-identical both times, identical to a
 // direct in-process harness run of the same spec, and the repeat is
 // served entirely from the shared content-addressed cache.

@@ -4,8 +4,9 @@
 // bounded admission queue with backpressure, shares one content-addressed
 // result cache across every campaign and client, and streams progress over
 // the internal/telemetry/live bus. The load generator (cwspload, built on
-// Loadgen in this package) hammers a daemon with concurrent clients over
-// mixed cold/warm traffic and emits a benchfmt trajectory record.
+// RunLoad in this package) hammers a daemon with concurrent clients over
+// mixed cold/warm traffic and reports what the clients saw as a
+// LoadReport.
 package service
 
 import (
@@ -69,11 +70,7 @@ type Spec struct {
 func (s *Spec) Normalize() {
 	s.Kind = strings.ToLower(strings.TrimSpace(s.Kind))
 	s.Key = strings.TrimSpace(s.Key)
-	switch s.Scale {
-	case "smoke", "quick", "full":
-	default:
-		s.Scale = "smoke"
-	}
+	s.Scale = s.ScaleOf().Name
 	switch s.Kind {
 	case KindSweep:
 		if len(s.Experiments) == 0 {
@@ -178,14 +175,11 @@ func equalSpec(a, b Spec) bool {
 	return aerr == nil && berr == nil && string(ab) == string(bb)
 }
 
-// ScaleOf maps the spec's scale name to a workload scale.
+// ScaleOf maps the spec's scale name to a workload scale; an empty or
+// unknown name is smoke, as Normalize records it.
 func (s *Spec) ScaleOf() workloads.Scale {
-	switch s.Scale {
-	case "full":
-		return workloads.Full
-	case "quick":
-		return workloads.Quick
-	default:
-		return workloads.Smoke
+	if sc, err := workloads.ScaleByName(s.Scale); err == nil {
+		return sc
 	}
+	return workloads.Smoke
 }

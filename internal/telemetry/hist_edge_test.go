@@ -3,7 +3,7 @@ package telemetry
 import "testing"
 
 // These tests pin Histogram.Quantile's edge semantics, which the live
-// Prometheus renderer and the benchfmt regression gate both rely on:
+// Prometheus renderer and the run manifests both rely on:
 // empty histogram → 0, single-bucket histogram → bucket midpoint clamped
 // to the observed [min, max].
 

@@ -27,6 +27,16 @@ var (
 	Smoke = Scale{Name: "smoke", Div: 64}
 )
 
+// ScaleByName looks up a scale by its name: smoke, quick or full.
+func ScaleByName(name string) (Scale, error) {
+	for _, s := range []Scale{Smoke, Quick, Full} {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Scale{}, fmt.Errorf("workloads: unknown scale %q (want smoke, quick or full)", name)
+}
+
 // Workload is one benchmark application.
 type Workload struct {
 	Name  string

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"cwsp/internal/compiler"
@@ -53,6 +54,29 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("doom"); err == nil {
 		t.Error("expected error for unknown workload")
+	}
+}
+
+func TestScaleByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{"smoke", Smoke, true},
+		{"quick", Quick, true},
+		{"full", Full, true},
+		{"smok", Scale{}, false},
+		{"Quick", Scale{}, false},
+		{"", Scale{}, false},
+	} {
+		got, err := ScaleByName(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ScaleByName(%q) = %+v, %v; want %+v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "smoke, quick or full") {
+			t.Errorf("ScaleByName(%q) error %q does not name the valid scales", tc.name, err)
+		}
 	}
 }
 
