@@ -50,9 +50,12 @@ bench-kernel-gotest:
 # reference byte-for-byte), its instrumented arm (the same cells with
 # telemetry and a tracer attached, at a fuzzed sample interval and stop
 # point), the persist-path models (WPQ pending drains and PB line times
-# against the plain maps they replaced, over operation sequences and
-# PB/WPQ sizes), the memory models (caches, DRAM cache and page image
-# against reference models over access streams), the litmus spec grammar
+# against the plain maps they replaced, and the PB, WPQ drain ring and
+# RBT rings against the collected queues they replaced, reads behind the
+# owner's clock included, over operation sequences and PB/WPQ/RBT sizes),
+# the memory models (caches, DRAM cache, page image and the write-buffer
+# ring against reference models and its old queue over access streams),
+# the litmus spec grammar
 # round-trip (spec string → plan → spec), and the campaign-journal decoder
 # (arbitrary bytes → longest verifiable prefix, re-decode stable, fold
 # never panics).

@@ -20,10 +20,15 @@ type Cache struct {
 	// setMask is sets-1 when sets is a power of two (index by mask, not
 	// modulo), else -1.
 	setMask int64
-	// slots[set*ways+way] is one way.
-	slots []slot
-	tick  int64
-	// last is the slot of the previous access and lastTag its tag (0,
+	wayBits uint // log2(ways)
+	// tags[set*ways+way] is the way's line xor tagBias (0 empty) and
+	// stamps[set*ways+way] its tick<<1 | dirty (0 empty). Ticks are
+	// unique and rising, so comparing stamps orders a set's ways by
+	// recency exactly as comparing ticks would.
+	tags   []int64
+	stamps []int64
+	tick   int64
+	// last is the way of the previous access and lastTag its tag (0,
 	// the empty marker, before the first access). That line is resident
 	// and its set's newest way, so a repeat of it needs no probe.
 	last    int
@@ -32,14 +37,6 @@ type Cache struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-}
-
-// slot is one cache way: tag is the line xor tagBias (0 empty) and stamp
-// is tick<<1 | dirty. Ticks are unique and rising, so comparing stamps
-// orders a set's ways by recency exactly as comparing ticks would.
-type slot struct {
-	tag   int64
-	stamp int64
 }
 
 // NewCache builds a cache of sizeBytes with the given associativity and
@@ -59,8 +56,10 @@ func NewCache(name string, sizeBytes, ways, lineBytes int) *Cache {
 		lineShift: log2(lineBytes),
 		sets:      sets,
 		ways:      ways,
-		slots:     make([]slot, sets*ways),
 		setMask:   setMask,
+		wayBits:   log2(ways),
+		tags:      make([]int64, sets*ways),
+		stamps:    make([]int64, sets*ways),
 	}
 }
 
@@ -102,16 +101,16 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, ev Evicted) {
 	if tag == c.lastTag {
 		// Already its set's newest way: a fresh stamp would not reorder
 		// the set, so only the dirty bit can change.
-		c.slots[c.last].stamp |= dirty
+		c.stamps[c.last] |= dirty
 		c.Hits++
 		return true, Evicted{}
 	}
 	c.tick++
 	base := c.set(line) * c.ways
-	ways := c.slots[base : base+c.ways]
-	for w := range ways {
-		if s := &ways[w]; s.tag == tag {
-			s.stamp = c.tick<<1 | s.stamp&1 | dirty
+	tags, stamps := c.tags[base:base+c.ways], c.stamps[base:base+c.ways]
+	for w, t := range tags {
+		if t == tag {
+			stamps[w] = c.tick<<1 | stamps[w]&1 | dirty
 			c.last, c.lastTag = base+w, tag
 			c.Hits++
 			return true, Evicted{}
@@ -120,17 +119,19 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, ev Evicted) {
 	c.Misses++
 	// Fill the first way with the oldest stamp: the first empty way
 	// (stamp 0; a filled way's tick is at least 1) or the LRU victim.
-	victim, oldest := 0, ways[0].stamp
-	for w := 1; w < len(ways); w++ {
-		if s := ways[w].stamp; s < oldest {
-			victim, oldest = w, s
-		}
+	// The minimum of stamp<<wayBits | way picks it, taken without branches
+	// (keys are non-negative, so the difference cannot overflow).
+	wb, key := c.wayBits&63, int64(1<<63-1)
+	for w, st := range stamps {
+		d := (st<<wb | int64(w)) - key
+		key += d & (d >> 63)
 	}
+	victim, oldest := int(key&(1<<wb-1)), key>>wb
 	if oldest != 0 {
-		ev = Evicted{Valid: true, Line: ways[victim].tag ^ tagBias, Dirty: oldest&1 != 0}
+		ev = Evicted{Valid: true, Line: tags[victim] ^ tagBias, Dirty: oldest&1 != 0}
 		c.Evictions++
 	}
-	ways[victim] = slot{tag: tag, stamp: c.tick<<1 | dirty}
+	tags[victim], stamps[victim] = tag, c.tick<<1|dirty
 	c.last, c.lastTag = base+victim, tag
 	return false, ev
 }

@@ -314,8 +314,8 @@ func TestPagedMemMatchesMapModel(t *testing.T) {
 	}
 }
 
-// FuzzMemModels fuzzes the cache, DRAM cache and page-image models
-// against their references over one op stream.
+// FuzzMemModels fuzzes the cache, DRAM cache, page-image and write
+// buffer models against their references over one op stream.
 func FuzzMemModels(f *testing.F) {
 	f.Add(randomOps(1, 200))
 	f.Add([]byte{3, 63, 0, 4, 0, 0, 2, 0, 0, 6, 1, 0, 3, 7, 9, 2, 5, 0})
@@ -328,5 +328,8 @@ func FuzzMemModels(f *testing.F) {
 			mm.step(t, i/3, ops[i], ops[i+1], ops[i+2])
 		}
 		runPagedOps(t, ops)
+		for _, g := range wbGeoms {
+			checkWBModel(t, g[0], int64(g[1]), ops)
+		}
 	})
 }

@@ -7,13 +7,17 @@ package mem
 // which the line's persist-path copies are all in NVM.
 type WriteBuffer struct {
 	cap int
-	// drainDone is a FIFO ring of entry drain-completion times. Insert's
-	// full-buffer stall bounds the entry count by cap, so the ring never
-	// grows.
+	// drainDone is a ring of the last cap entries' drain-completion times
+	// (0 before the first cap inserts), rising from next, the slot of the
+	// entry cap inserts ago.
 	drainDone []int64
-	head      int
-	len       int
-	drainLat  int64
+	next      int
+	// The resident entries are those draining after seen, the latest
+	// cycle the buffer was collected at, plus the newest when fresh, as
+	// in persist's rings (its type collected).
+	seen     int64
+	fresh    bool
+	drainLat int64
 
 	// Occupancy statistics: integral of entry-residency cycles, divided by
 	// elapsed time at query.
@@ -30,16 +34,6 @@ func NewWriteBuffer(capacity int, drainLat int64) *WriteBuffer {
 		capacity = 1
 	}
 	return &WriteBuffer{cap: capacity, drainDone: make([]int64, capacity), drainLat: drainLat}
-}
-
-func (w *WriteBuffer) gc(now int64) {
-	for w.len > 0 && w.drainDone[w.head] <= now {
-		w.head++
-		if w.head == w.cap {
-			w.head = 0
-		}
-		w.len--
-	}
 }
 
 func (w *WriteBuffer) account(now, drainDone int64) {
@@ -59,35 +53,26 @@ func (w *WriteBuffer) account(now, drainDone int64) {
 // the check is disabled or found no match). It returns the cycle at which
 // the core may proceed (now, unless the buffer was full).
 func (w *WriteBuffer) Insert(now int64, persistReady int64) int64 {
-	w.gc(now)
-	if w.len >= w.cap {
-		// Stall until the head drains.
-		head := w.drainDone[w.head]
+	// The buffer is full until the entry cap inserts ago drains.
+	if head := w.drainDone[w.next]; head > now {
 		w.FullStall += head - now
 		now = head
-		w.gc(now)
 	}
-	start := now
-	if w.len > 0 {
-		last := w.head + w.len - 1
-		if last >= w.cap {
-			last -= w.cap
-		}
-		if w.drainDone[last] > start {
-			start = w.drainDone[last]
-		}
+	last := w.next - 1
+	if last < 0 {
+		last = w.cap - 1
 	}
+	start := max(now, w.drainDone[last])
 	if persistReady > start {
 		w.Delayed++
 		start = persistReady
 	}
 	done := start + w.drainLat
-	tail := w.head + w.len
-	if tail >= w.cap {
-		tail -= w.cap
+	w.drainDone[w.next] = done
+	if w.next++; w.next == w.cap {
+		w.next = 0
 	}
-	w.drainDone[tail] = done
-	w.len++
+	w.seen, w.fresh = now, done == now
 	w.account(now, done)
 	return now
 }
@@ -101,8 +86,20 @@ func (w *WriteBuffer) AvgOccupancy() float64 {
 	return w.entryCycles / float64(w.lastTime)
 }
 
-// Occupancy returns the current entry count at cycle now.
+// Occupancy returns the entry count at cycle now, collecting the buffer
+// at now first.
 func (w *WriteBuffer) Occupancy(now int64) int {
-	w.gc(now)
-	return w.len
+	if now >= w.seen {
+		w.seen, w.fresh = now, false
+	}
+	n := 0
+	for _, d := range w.drainDone {
+		if d > w.seen {
+			n++
+		}
+	}
+	if w.fresh {
+		n++
+	}
+	return n
 }

@@ -6,11 +6,13 @@ import (
 )
 
 // The WPQ's pending table and the persist path's line times used to be
-// plain maps with collection rules of their own. Those maps are the
-// specification the current structures are held to here: every query
-// must answer as the map would, under operation sequences shaped like
-// the machine's (several cores at their own clocks, NUMA-skewed admits,
-// PB-full stalls).
+// plain maps with collection rules of their own, and the PB, the WPQ's
+// drain ring and the RBT used to be collected queues (fifo_test.go).
+// Those maps and queues are the specification the current structures are
+// held to here: every query must answer as they would, under operation
+// sequences shaped like the machine's (several cores at their own clocks,
+// NUMA-skewed admits, PB-full stalls, and telemetry reads behind the
+// owner's clock).
 
 var (
 	modelPBSizes  = []int{1, 4, 50, 288}
@@ -24,6 +26,8 @@ type modelCover struct {
 	stale   int // queries that collected a stale entry
 	swept   int // entries a bulk sweep collected
 	stalls  int64
+	behind  int // reads behind the owner's last collection that found entries
+	fresh   int // reads behind it that found the newest entry, recorded at that cycle, still queued
 }
 
 // checkWPQModel drives a WPQ's Admit/PendingUntil/Sweep with ops (three
@@ -34,6 +38,7 @@ type modelCover struct {
 func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 	t.Helper()
 	w := NewWPQ(capacity, 0.5) // 16 cycles per 8-byte entry: entries stay pending
+	fifo := newFifoWPQ(capacity, 0.5)
 	ref := map[int64]int64{}
 	var clock [2]int64
 	for i := 0; i+2 < len(ops); i += 3 {
@@ -44,7 +49,10 @@ func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 		addr := int64(a)*8 | int64(d>>5) // address 0 is never tracked; low bits are ignored
 		switch (op >> 1) % 4 {
 		case 0, 1:
-			_, drain := w.Admit(now+20, addr, 8+16*int(op>>7))
+			admit, drain := w.Admit(now+20, addr, 8+16*int(op>>7))
+			if fa, fd := fifo.admit(now+20, 8+16*int(op>>7)); admit != fa || drain != fd {
+				t.Fatalf("op %d: Admit = (%d, %d), queue says (%d, %d)", i/3, admit, drain, fa, fd)
+			}
 			if addr != 0 {
 				ref[addr&^7] = drain
 			}
@@ -63,6 +71,9 @@ func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 				t.Fatalf("op %d: PendingUntil(%#x, %d) = %d, map says %d", i/3, addr, now, got, want)
 			}
 		case 3:
+			if got, want := w.Occupancy(now), fifo.occupancy(now); got != want {
+				t.Fatalf("op %d: Occupancy(%d) = %d, queue says %d", i/3, now, got, want)
+			}
 			w.Sweep(now)
 			if len(ref) >= 4*capacity {
 				for k, v := range ref {
@@ -77,6 +88,10 @@ func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 			t.Fatalf("op %d: %d pending entries, map holds %d", i/3, w.pending.live, len(ref))
 		}
 	}
+	if w.FullWait != fifo.fullWait {
+		t.Fatalf("FullWait %d, queue says %d", w.FullWait, fifo.fullWait)
+	}
+	cov.stalls = w.FullWait
 	return cov
 }
 
@@ -84,14 +99,19 @@ func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 // the per-line map the path used to keep: each send raises its line's
 // time to the entry's admit, a query at or past that time deletes it, and
 // a send that leaves more than 8*PBSize lines deletes every line
-// persisted by its commit. One core owns the path, so its clock only
-// rises; the telemetry sampler collects the PB at or behind that clock.
+// persisted by its commit. It also drives the queue the PB used to be
+// (fifoPath) and its WPQs' queues alongside, which every send, occupancy
+// and line query must match. One core owns the path, so its clock only
+// rises; the telemetry sampler reads the PB at or behind that clock.
 // Sends go to two WPQs, the second 30 cycles further away, so admits
-// are not monotone, and the WPQs drain slowly enough to fill the PB.
-func checkPathModel(t testing.TB, pbSize, wpqSize int, ops []byte) (cov modelCover) {
+// are not monotone, and the WPQs drain slowly enough to fill the PB. A
+// zero one-way latency lets an entry free at its send's proceed cycle.
+func checkPathModel(t testing.TB, pbSize, wpqSize int, oneWay int64, ops []byte) (cov modelCover) {
 	t.Helper()
-	p := NewPath(pbSize, 2.0, 20)
+	p := NewPath(pbSize, 2.0, oneWay)
 	wpqs := []*WPQ{NewWPQ(wpqSize, 0.25), NewWPQ(wpqSize, 0.25)}
+	fifo := newFifoPath(pbSize, 2.0, oneWay)
+	fifoWPQs := []*fifoWPQ{newFifoWPQ(wpqSize, 0.25), newFifoWPQ(wpqSize, 0.25)}
 	ref := map[int64]int64{}
 	clock, last := int64(0), int64(0)
 	for i := 0; i+2 < len(ops); i += 3 {
@@ -104,6 +124,9 @@ func checkPathModel(t testing.TB, pbSize, wpqSize int, ops []byte) (cov modelCov
 			proceed, admit := p.Send(commit, addr, 8, wpqs[mc], int64(mc)*30, 16*int(op>>7))
 			if proceed < commit {
 				t.Fatalf("op %d: proceed %d before commit %d", i/3, proceed, commit)
+			}
+			if fp, fa := fifo.send(commit, addr, 8, fifoWPQs[mc], int64(mc)*30, 16*int(op>>7)); proceed != fp || admit != fa {
+				t.Fatalf("op %d: Send(%d) = (%d, %d), queue says (%d, %d)", i/3, commit, proceed, admit, fp, fa)
 			}
 			clock = proceed + int64(d>>6)
 			last = addr
@@ -137,14 +160,108 @@ func checkPathModel(t testing.TB, pbSize, wpqSize int, ops []byte) (cov modelCov
 			if got := p.LinePersistTime(addr, clock); got != want {
 				t.Fatalf("op %d: LinePersistTime(%#x, %d) = %d, map says %d", i/3, addr, clock, got, want)
 			}
+			if fw := fifo.linePersistTime(addr, clock); fw != want {
+				t.Fatalf("op %d: queue's LinePersistTime(%#x, %d) = %d, map says %d", i/3, addr, clock, fw, want)
+			}
 		case 3:
-			if n := p.Occupancy(clock - int64(d)); n > pbSize {
-				t.Fatalf("op %d: PB holds %d entries, capacity %d", i/3, n, pbSize)
+			// A telemetry read behind the owner's clock.
+			back := max(clock-int64(d%96), 0)
+			if a&1 == 0 {
+				addr = last
+			}
+			if got, want := p.LinePersistTime(addr, back), fifo.linePersistTime(addr, back); got != want {
+				t.Fatalf("op %d: LinePersistTime(%#x, %d) = %d, queue says %d", i/3, addr, back, got, want)
+			}
+			pbFresh := fifo.len > 0 && fifo.pb[(fifo.head+fifo.len-1)%pbSize].free <= clock
+			got, want := p.Occupancy(back), fifo.occupancy(back)
+			if got != want {
+				t.Fatalf("op %d: Occupancy(%d) = %d, queue says %d (owner at %d)", i/3, back, got, want, clock)
+			}
+			cov.count(want, pbFresh && want > 0)
+			for j, w := range wpqs {
+				if got, want := w.Occupancy(back), fifoWPQs[j].occupancy(back); got != want {
+					t.Fatalf("op %d: WPQ %d Occupancy(%d) = %d, queue says %d", i/3, j, back, got, want)
+				}
 			}
 		}
 	}
+	if p.PBStall != fifo.pbStall {
+		t.Fatalf("PBStall %d, queue says %d", p.PBStall, fifo.pbStall)
+	}
 	cov.stalls = p.PBStall
 	return cov
+}
+
+// count records a read behind the owner's clock that found n entries,
+// fresh when one of them is the newest, queued at or before that clock.
+func (cov *modelCover) count(n int, fresh bool) {
+	if n > 0 {
+		cov.behind++
+	}
+	if fresh {
+		cov.fresh++
+	}
+}
+
+// checkRBTModel drives an RBT against the queue it used to be (fifoRBT).
+// The owning core pushes regions at its rising clock, often with every
+// store persisted already, so the region retires at the push's proceed
+// cycle; it probes with Busy and DrainTime at that clock, and telemetry
+// reads Occupancy, Busy and DrainTime behind it.
+func checkRBTModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
+	t.Helper()
+	r, fifo := NewRBT(capacity), newFifoRBT(capacity)
+	clock := int64(0)
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, a, d := ops[i], ops[i+1], ops[i+2]
+		switch op % 4 {
+		case 0, 1:
+			done := clock + int64(a) - 128 // often already persisted
+			proceed, retire := r.Push(clock, done)
+			if fp, fr := fifo.push(clock, done); proceed != fp || retire != fr {
+				t.Fatalf("op %d: Push(%d, %d) = (%d, %d), queue says (%d, %d)", i/3, clock, done, proceed, retire, fp, fr)
+			}
+			clock = proceed + int64(d>>6)
+		case 2:
+			clock += int64(d)
+			if a&1 == 0 {
+				if got, want := r.Busy(clock), fifo.occupancy(clock) > 0; got != want {
+					t.Fatalf("op %d: Busy(%d) = %v, queue says %v", i/3, clock, got, want)
+				}
+			} else if got, want := r.DrainTime(clock), fifo.drainTime(clock); got != want {
+				t.Fatalf("op %d: DrainTime(%d) = %d, queue says %d", i/3, clock, got, want)
+			}
+		case 3:
+			back := max(clock-int64(d%64), 0)
+			fresh := fifo.len > 0 && fifo.last() <= clock
+			var got, want int64
+			switch a % 3 {
+			case 0:
+				got, want = int64(r.Occupancy(back)), int64(fifo.occupancy(back))
+			case 1:
+				got, want = b2i(r.Busy(back)), b2i(fifo.occupancy(back) > 0)
+			default:
+				got, want = r.DrainTime(back), fifo.drainTime(back)
+			}
+			if got != want {
+				t.Fatalf("op %d: read %d at %d (owner at %d) = %d, queue says %d", i/3, a%3, back, clock, got, want)
+			}
+			n := fifo.occupancy(back)
+			cov.count(n, fresh && n > 0)
+		}
+	}
+	if r.FullStall != fifo.fullStall {
+		t.Fatalf("FullStall %d, queue says %d", r.FullStall, fifo.fullStall)
+	}
+	cov.stalls = r.FullStall
+	return cov
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // modelOps returns n random operations biased toward bursts: runs of
@@ -175,12 +292,16 @@ func TestWPQPendingMatchesMapModel(t *testing.T) {
 	}
 }
 
+// modelOneWay returns the one-way latency a path model runs with: the
+// default 20 cycles, or 0 for odd seeds, so entries can free at once.
+func modelOneWay(seed int64) int64 { return 20 * (1 - seed&1) }
+
 func TestPathLineTimesMatchMapModel(t *testing.T) {
 	for _, pb := range modelPBSizes {
 		for _, wq := range modelWPQSizes {
 			for seed := int64(0); seed < 4; seed++ {
-				cov := checkPathModel(t, pb, wq, modelOps(rand.New(rand.NewSource(seed)), 4000))
-				if cov.pending == 0 || cov.stale == 0 || cov.stalls == 0 || pb <= 4 && cov.swept == 0 {
+				cov := checkPathModel(t, pb, wq, modelOneWay(seed), modelOps(rand.New(rand.NewSource(seed)), 4000))
+				if cov.pending == 0 || cov.stale == 0 || cov.stalls == 0 || cov.behind == 0 || pb <= 4 && cov.swept == 0 {
 					t.Errorf("PB %d / WPQ %d seed %d: sequence missed a rule: %+v", pb, wq, seed, cov)
 				}
 			}
@@ -188,7 +309,18 @@ func TestPathLineTimesMatchMapModel(t *testing.T) {
 	}
 }
 
-// FuzzPersistModels runs both model checks over fuzzed operation
+func TestRBTMatchesQueueModel(t *testing.T) {
+	for _, capacity := range []int{1, 4, 16} {
+		for seed := int64(0); seed < 8; seed++ {
+			cov := checkRBTModel(t, capacity, modelOps(rand.New(rand.NewSource(seed)), 4000))
+			if cov.stalls == 0 || cov.behind == 0 || cov.fresh == 0 {
+				t.Errorf("RBT %d seed %d: sequence missed a rule: %+v", capacity, seed, cov)
+			}
+		}
+	}
+}
+
+// FuzzPersistModels runs every model check over fuzzed operation
 // sequences and PB/WPQ sizes.
 func FuzzPersistModels(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
@@ -200,6 +332,7 @@ func FuzzPersistModels(f *testing.F) {
 		}
 		wq := modelWPQSizes[int(wpqSel)%len(modelWPQSizes)]
 		checkWPQModel(t, wq, ops)
-		checkPathModel(t, modelPBSizes[int(pbSel)%len(modelPBSizes)], wq, ops)
+		checkPathModel(t, modelPBSizes[int(pbSel)%len(modelPBSizes)], wq, modelOneWay(int64(pbSel>>4)), ops)
+		checkRBTModel(t, 1+int(wpqSel>>4), ops)
 	})
 }

@@ -19,16 +19,16 @@ type WPQ struct {
 	cap   int
 	media rate // NVM media write bandwidth
 
-	// drainDone is a ring of the last cap entries' drain-completion times,
-	// monotone non-decreasing.
+	// drainDone is a ring of the last cap entries' drain-completion times
+	// (0 before the first cap admits), rising from next, the slot of the
+	// entry cap admits ago that the next admit overwrites.
 	drainDone []int64
-	head      int // ring start
-	count     int
+	next      int
 	lastDrain int64
 
 	// pending maps word address -> drain time, for the load-delay check
 	// (paper Section V-A2). Drains rise strictly per queue, so the table's
-	// put order is drain order and Sweep pops the drained front.
+	// link order is drain order.
 	pending *addrTable
 
 	Admits   int64
@@ -57,27 +57,15 @@ func NewWPQ(capacity int, bytesPerCycle float64) *WPQ {
 // time.
 func (w *WPQ) Admit(arrival int64, addr int64, bytes int) (admit, drain int64) {
 	admit = arrival
-	if w.count >= w.cap {
-		// Wait for the oldest in-flight entry to leave the queue.
-		oldest := w.drainDone[w.head]
-		if oldest > admit {
-			w.FullWait += oldest - admit
-			admit = oldest
-		}
-		w.head++
-		if w.head == w.cap {
-			w.head = 0
-		}
-		w.count--
+	// The queue is full until the entry cap admits ago leaves it.
+	if oldest := w.drainDone[w.next]; oldest > admit {
+		w.FullWait += oldest - admit
+		admit = oldest
 	}
 	drain = max(admit, w.lastDrain) + w.media.cycles(bytes)
 	w.lastDrain = drain
-	tail := w.head + w.count
-	if tail >= w.cap {
-		tail -= w.cap
-	}
-	w.drainDone[tail] = drain
-	w.count++
+	w.drainDone[w.next] = drain
+	w.next = ringNext(w.next, w.cap)
 	w.Admits++
 
 	if addr != 0 {
@@ -90,13 +78,7 @@ func (w *WPQ) Admit(arrival int64, addr int64, bytes int) (admit, drain int64) {
 // not yet drained to media) at cycle now. Read-only: safe for telemetry
 // sampling at any point in the schedule.
 func (w *WPQ) Occupancy(now int64) int {
-	n := 0
-	for i := 0; i < w.count; i++ {
-		if w.drainDone[(w.head+i)%w.cap] > now {
-			n++
-		}
-	}
-	return n
+	return countAbove(w.drainDone, now)
 }
 
 // Backlog returns how many cycles of queued media work remain at cycle now
@@ -127,9 +109,9 @@ func (w *WPQ) PendingUntil(addr, now int64) int64 {
 }
 
 // Sweep drops drained pending-address entries (bounds table growth) once
-// the table holds 4x the queue's capacity. The table is in drain order,
-// so popping its <=now front deletes exactly what a range-and-delete over
-// every entry would, at any now (cores query at their own clocks).
+// the table holds 4x the queue's capacity. popBelow deletes exactly what
+// a range-and-delete over every entry would, at any now (cores query at
+// their own clocks).
 func (w *WPQ) Sweep(now int64) {
 	if w.pending.live >= 4*w.cap {
 		w.pending.popBelow(now)
@@ -147,11 +129,11 @@ type Path struct {
 	// so the bandwidth interval applies to every send after the first.
 	sent     bool
 	lastSend int64
-	// pb is a FIFO ring of the buffered entries. Send's full-PB wait
-	// bounds the entry count by pbCap, so the ring never grows.
-	pb     []pbEntry
-	pbHead int
-	pbLen  int
+	// pb is a ring of the last pbCap entries (zero before the first pbCap
+	// sends), rising from next, the slot of the entry pbCap sends ago.
+	pb   []pbEntry
+	next int
+	collected
 
 	Sends     int64
 	PBStall   int64 // cycles the core stalled on a full PB
@@ -185,16 +167,6 @@ func NewPath(pbCap int, bytesPerCycle float64, oneWayLat int64) *Path {
 	}
 }
 
-func (p *Path) gc(now int64) {
-	for p.pbLen > 0 && p.pb[p.pbHead].free <= now {
-		p.pbHead++
-		if p.pbHead == p.pbCap {
-			p.pbHead = 0
-		}
-		p.pbLen--
-	}
-}
-
 // Send schedules one persist of `bytes` at word address addr, committed at
 // cycle commit, destined for WPQ w with extra per-MC latency numaExtra.
 // logBytes adds undo-log media traffic at the MC. It returns the cycle the
@@ -202,16 +174,10 @@ func (p *Path) gc(now int64) {
 // (persistence) time of the entry.
 func (p *Path) Send(commit int64, addr int64, bytes int, w *WPQ, numaExtra int64, logBytes int) (proceed, admit int64) {
 	proceed = commit
-	p.gc(proceed)
-	if p.pbLen >= p.pbCap {
-		// Wait until the head entry deallocates (pbLen == pbCap exactly,
-		// since the full-PB wait below keeps the ring from overfilling).
-		free := p.pb[p.pbHead].free
-		if free > proceed {
-			p.PBStall += free - proceed
-			proceed = free
-		}
-		p.gc(proceed)
+	// The PB is full until the entry pbCap sends ago deallocates.
+	if free := p.pb[p.next].free; free > proceed {
+		p.PBStall += free - proceed
+		proceed = free
 	}
 
 	send := proceed
@@ -224,21 +190,11 @@ func (p *Path) Send(commit int64, addr int64, bytes int, w *WPQ, numaExtra int64
 	arrival := send + p.oneWayLat + numaExtra
 	admit, _ = w.Admit(arrival, addr, bytes+logBytes)
 
-	free := admit + p.oneWayLat
-	tail := p.pbHead + p.pbLen
-	if tail >= p.pbCap {
-		tail -= p.pbCap
-	}
 	// FIFO dealloc: the PB frees entries in order, so monotonize.
-	if p.pbLen > 0 {
-		last := tail - 1
-		if last < 0 {
-			last += p.pbCap
-		}
-		free = max(free, p.pb[last].free)
-	}
-	p.pb[tail] = pbEntry{free: free, admit: admit, line: addr &^ 63}
-	p.pbLen++
+	free := max(admit+p.oneWayLat, p.pb[ringPrev(p.next, p.pbCap)].free)
+	p.pb[p.next] = pbEntry{free: free, admit: admit, line: addr &^ 63}
+	p.next = ringNext(p.next, p.pbCap)
+	p.pushed(proceed, free)
 
 	p.Sends++
 	p.BytesSent += int64(bytes)
@@ -250,26 +206,21 @@ func (p *Path) Send(commit int64, addr int64, bytes int, w *WPQ, numaExtra int64
 // PB check the WB performs before releasing a dirty line to L2.
 //
 // The buffered entries are the whole answer: an entry that persists after
-// now frees after now, and the ring is only collected at cycles the
-// owning core's clock has reached (Send's commit and proceed, and the
-// telemetry sampler, which samples at the minimum runnable core clock),
-// never ahead of the now the core queries at. Free times rise along the
-// ring, so the scan runs newest first and stops at the first entry freed
-// by now: it and every older entry persisted by then.
+// now frees after now. Free times rise along the ring, so the scan runs
+// newest first and stops at the first entry freed by now, or collected:
+// it and every older entry persisted by then.
 func (p *Path) LinePersistTime(addr, now int64) int64 {
 	line := addr &^ 63
-	var t int64
-	i := p.pbHead + p.pbLen
-	if i >= p.pbCap {
-		i -= p.pbCap
+	stop, n := max(now, p.seen), p.pbCap
+	if p.fresh && now < p.seen {
+		stop, n = now, 1 // only the newest, freeing at seen, is buffered
 	}
-	for n := p.pbLen; n > 0; n-- {
-		i--
-		if i < 0 {
-			i += p.pbCap
-		}
+	var t int64
+	i := p.next
+	for range n {
+		i = ringPrev(i, p.pbCap)
 		e := &p.pb[i]
-		if e.free <= now {
+		if e.free <= stop {
 			break
 		}
 		if e.line == line && e.admit > t {
@@ -282,10 +233,16 @@ func (p *Path) LinePersistTime(addr, now int64) int64 {
 	return t
 }
 
-// Occupancy returns the current PB entry count at cycle now.
+// Occupancy returns the PB entry count at cycle now.
 func (p *Path) Occupancy(now int64) int {
-	p.gc(now)
-	return p.pbLen
+	p.collect(now)
+	n := 0
+	for i := range p.pb {
+		if p.pb[i].free > p.seen {
+			n++
+		}
+	}
+	return n + p.freshCount()
 }
 
 // SendBacklog returns how many cycles of persist-path send bandwidth are
@@ -330,12 +287,12 @@ func (r *rate) cycles(bytes int) int64 {
 // concurrently (the speculation depth).
 type RBT struct {
 	cap int
-	// retire is a FIFO ring of retire times, monotone non-decreasing.
-	// Push's full-table wait bounds the entry count by cap, so the ring
-	// never grows.
+	// retire is a ring of the last cap regions' retire times (0 before the
+	// first cap pushes), rising from next, the slot of the region cap
+	// pushes ago.
 	retire []int64
-	head   int
-	len    int
+	next   int
+	collected
 
 	FullStall int64
 }
@@ -348,23 +305,7 @@ func NewRBT(capacity int) *RBT {
 	return &RBT{cap: capacity, retire: make([]int64, capacity)}
 }
 
-func (r *RBT) gc(now int64) {
-	for r.len > 0 && r.retire[r.head] <= now {
-		r.head++
-		if r.head == r.cap {
-			r.head = 0
-		}
-		r.len--
-	}
-}
-
-func (r *RBT) last() int64 {
-	i := r.head + r.len - 1
-	if i >= r.cap {
-		i -= r.cap
-	}
-	return r.retire[i]
-}
+func (r *RBT) newest() int64 { return r.retire[ringPrev(r.next, r.cap)] }
 
 // Push records a region whose stores all persist by persistDone, committed
 // at cycle now. In-order retirement: the region retires no earlier than its
@@ -372,46 +313,95 @@ func (r *RBT) last() int64 {
 // full) and the region's retire time.
 func (r *RBT) Push(now, persistDone int64) (proceed, retireTime int64) {
 	proceed = now
-	r.gc(proceed)
-	if r.len >= r.cap {
-		free := r.retire[r.head]
-		if free > proceed {
-			r.FullStall += free - proceed
-			proceed = free
-		}
-		r.gc(proceed)
+	// The table is full until the region cap pushes ago retires.
+	if free := r.retire[r.next]; free > proceed {
+		r.FullStall += free - proceed
+		proceed = free
 	}
-	retireTime = persistDone
-	if retireTime < proceed {
-		retireTime = proceed
-	}
-	if r.len > 0 {
-		if last := r.last(); last > retireTime {
-			retireTime = last
-		}
-	}
-	tail := r.head + r.len
-	if tail >= r.cap {
-		tail -= r.cap
-	}
-	r.retire[tail] = retireTime
-	r.len++
+	retireTime = max(persistDone, proceed, r.newest())
+	r.retire[r.next] = retireTime
+	r.next = ringNext(r.next, r.cap)
+	r.pushed(proceed, retireTime)
 	return proceed, retireTime
 }
 
 // DrainTime returns the cycle by which every tracked region has retired.
 func (r *RBT) DrainTime(now int64) int64 {
-	r.gc(now)
-	if r.len == 0 {
-		return now
+	if r.Busy(now) {
+		return r.newest()
 	}
-	return r.last()
+	return now
+}
+
+// Busy reports whether a region is unretired at cycle now.
+func (r *RBT) Busy(now int64) bool {
+	r.collect(now)
+	return r.fresh || r.newest() > r.seen
 }
 
 // Occupancy returns the number of unretired regions at cycle now.
 func (r *RBT) Occupancy(now int64) int {
-	r.gc(now)
-	return r.len
+	r.collect(now)
+	return countAbove(r.retire, r.seen) + r.freshCount()
+}
+
+// collected stands in for the head of the FIFO a ring replaced, which
+// was collected (its entries done by then dropped) on every operation: a
+// ring's queued entries are those done after seen, the latest cycle it
+// was collected at, plus the newest when fresh. A push collects at its
+// cycle before it records the new entry, so that entry stays queued even
+// if it is done at that cycle, until a collection reaches it.
+//
+// The floor matters on multi-core machines, where the telemetry sampler
+// reads a core's structures behind that core's clock: an entry done
+// between the two has left the queue. A push is never behind seen (the
+// owner's clock only rises, and the sampler reads at or behind it), so a
+// ring's one-compare full check agrees with the collected FIFO.
+type collected struct {
+	seen  int64
+	fresh bool
+}
+
+func (c *collected) collect(now int64) {
+	if now >= c.seen {
+		c.seen, c.fresh = now, false
+	}
+}
+
+// pushed records a push at cycle at of an entry done at cycle done.
+func (c *collected) pushed(at, done int64) { c.seen, c.fresh = at, done == at }
+
+func (c *collected) freshCount() int {
+	if c.fresh {
+		return 1
+	}
+	return 0
+}
+
+// ringNext and ringPrev step a ring index of a ring of n slots.
+func ringNext(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
+func ringPrev(i, n int) int {
+	if i == 0 {
+		return n - 1
+	}
+	return i - 1
+}
+
+// countAbove counts the times after t.
+func countAbove(times []int64, t int64) int {
+	n := 0
+	for _, v := range times {
+		if v > t {
+			n++
+		}
+	}
+	return n
 }
 
 // Rec is one journaled persist event: the recovery runtime uses the journal

@@ -3,7 +3,7 @@ package persist
 import "math"
 
 // addrTable is an open-addressed int64→int64 hash table that keeps its
-// entries in put order, specialized for the WPQ's pending drains. It
+// entries in link order, specialized for the WPQ's pending drains. It
 // replaces the Go map the hot path used to hit on every admitted store and
 // every NVM read.
 //
@@ -13,25 +13,28 @@ import "math"
 // mirrors map semantics exactly — deletions are real (tombstoned) and
 // `live` equals what len(map) would be after the same operation sequence.
 //
-// A doubly linked list threaded through the slots holds the put order: a
-// put appends its key at the back (moving it there when it already
-// exists), del unlinks, and popBelow drops entries from the front.
-// Internal rebuilds drop only tombstones, never live entries, keep the
-// order, and reuse a spare buffer so a steady-state rebuild allocates
-// nothing.
+// A doubly linked list threaded through the slots holds the link order: a
+// put of an absent key appends it at the back, a put of a present key
+// overwrites its value in place and marks the slot re-put, and del
+// unlinks. Values are non-negative (drain cycles), so the mark is the
+// sign: a re-put slot holds ^val. An unmarked slot's value is the one its
+// key was linked at. Internal rebuilds drop only tombstones, never live
+// entries, keep the order and the marks, and reuse a spare buffer so a
+// steady-state rebuild allocates nothing.
 type addrTable struct {
 	slots []tslot
 	spare []tslot // retained for same-size rebuilds (lazily sized)
 	mask  uint64
 	live  int // occupied, non-tombstone slots == len() of the mirrored map
 	used  int // occupied slots including tombstones
-	// head and tail are the oldest and newest live slots (-1 when empty).
+	// head and tail are the first and last linked live slots (-1 when
+	// empty).
 	head, tail int32
 }
 
 type tslot struct {
-	key, val   int64
-	prev, next int32 // put-order neighbours (-1 at either end)
+	key, val   int64 // val < 0: ^val, the key was put again since it was linked
+	prev, next int32 // link-order neighbours (-1 at either end)
 }
 
 const (
@@ -66,7 +69,7 @@ func (t *addrTable) get(key int64) (int64, bool) {
 	for {
 		switch t.slots[i].key {
 		case key:
-			return t.slots[i].val, true
+			return max(t.slots[i].val, ^t.slots[i].val), true
 		case tblEmpty:
 			return 0, false
 		}
@@ -74,19 +77,18 @@ func (t *addrTable) get(key int64) (int64, bool) {
 	}
 }
 
-// put inserts or overwrites key and makes it the newest entry.
-func (t *addrTable) put(key, val int64) {
+// put inserts key with val >= 0, or overwrites it and marks it re-put.
+func (t *addrTable) put(key, val int64) { t.store(key, val, ^val) }
+
+// store inserts key with fresh, or overwrites it with again.
+func (t *addrTable) store(key, fresh, again int64) {
 	i := t.slot(key)
 	ins := int32(-1)
 	for {
 		s := &t.slots[i]
 		switch s.key {
 		case key:
-			s.val = val
-			if int32(i) != t.tail {
-				t.unlink(int32(i))
-				t.linkBack(int32(i))
-			}
+			s.val = again
 			return
 		case tblTomb:
 			if ins < 0 {
@@ -97,7 +99,7 @@ func (t *addrTable) put(key, val int64) {
 				ins = int32(i)
 				t.used++
 			}
-			t.slots[ins].key, t.slots[ins].val = key, val
+			t.slots[ins].key, t.slots[ins].val = key, fresh
 			t.linkBack(ins)
 			t.live++
 			if 4*t.used >= 3*len(t.slots) {
@@ -124,12 +126,21 @@ func (t *addrTable) del(key int64) {
 	}
 }
 
-// popBelow deletes entries from the front while their value is <= limit.
-// When values rise in put order, as drain times do in a WPQ, that is
-// exactly the map range-and-delete of every entry <= limit.
+// popBelow deletes every entry whose value is <= limit. It walks the list
+// from the front, stepping over re-put entries above limit, and stops at
+// the first unmarked entry above limit. When values rise in link order
+// and a re-put only raises a key's value, as drains do in a WPQ, every
+// later entry was linked at a higher value and holds at least that, so
+// this is exactly the map range-and-delete of every entry <= limit.
 func (t *addrTable) popBelow(limit int64) {
-	for t.head >= 0 && t.slots[t.head].val <= limit {
-		t.remove(t.head)
+	for i := t.head; i >= 0; {
+		next, v := t.slots[i].next, t.slots[i].val
+		if max(v, ^v) <= limit {
+			t.remove(i)
+		} else if v >= 0 {
+			return // linked at v > limit; every later entry was linked above v
+		}
+		i = next
 	}
 }
 
@@ -163,7 +174,7 @@ func (t *addrTable) linkBack(i int32) {
 	t.tail = i
 }
 
-// rebuild rehashes the live entries in put order, dropping tombstones.
+// rebuild rehashes the live entries in link order, dropping tombstones.
 // The size grows only when the live set genuinely needs it, and same-size
 // rebuilds swap into the retained spare buffer, so a steady-state table
 // never allocates.
@@ -183,6 +194,6 @@ func (t *addrTable) rebuild() {
 	}
 	t.reset()
 	for i := head; i >= 0; i = old[i].next {
-		t.put(old[i].key, old[i].val)
+		t.store(old[i].key, old[i].val, old[i].val)
 	}
 }

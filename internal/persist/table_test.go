@@ -8,17 +8,25 @@ import (
 
 // tableModel drives an addrTable and a plain map through the same
 // operation sequence and asserts they stay indistinguishable — get on
-// every touched key, live count, and put order.
+// every touched key, live count, and link order: a key joins the back
+// when it is put while absent, and a re-put keeps its place and marks
+// it.
 type tableModel struct {
-	t     *testing.T
-	tbl   *addrTable
-	ref   map[int64]int64
-	order []int64        // live keys, oldest put first
-	keys  map[int64]bool // every key ever touched, for full-surface checks
+	t      *testing.T
+	tbl    *addrTable
+	ref    map[int64]int64
+	order  []int64         // live keys, first linked first
+	linked map[int64]int64 // live key -> value it was linked at
+	reput  map[int64]bool  // live keys put again since they were linked
+	keys   map[int64]bool  // every key ever touched, for full-surface checks
+	// steppedOver counts live entries a popBelow walked past: linked by
+	// its limit but re-put above it.
+	steppedOver int
 }
 
 func newTableModel(t *testing.T) *tableModel {
-	return &tableModel{t: t, tbl: newAddrTable(), ref: map[int64]int64{}, keys: map[int64]bool{}}
+	return &tableModel{t: t, tbl: newAddrTable(), ref: map[int64]int64{},
+		linked: map[int64]int64{}, reput: map[int64]bool{}, keys: map[int64]bool{}}
 }
 
 func (m *tableModel) drop(k int64) {
@@ -32,27 +40,37 @@ func (m *tableModel) drop(k int64) {
 
 func (m *tableModel) put(k, v int64) {
 	m.tbl.put(k, v)
-	m.drop(k)
+	if _, ok := m.ref[k]; !ok {
+		m.order = append(m.order, k)
+		m.linked[k] = v
+	} else {
+		m.reput[k] = true
+	}
 	m.ref[k] = v
-	m.order = append(m.order, k)
 	m.keys[k] = true
 }
 
 func (m *tableModel) del(k int64) {
 	m.tbl.del(k)
 	delete(m.ref, k)
+	delete(m.linked, k)
+	delete(m.reput, k)
 	m.drop(k)
 	m.keys[k] = true
 }
 
 // popBelow mirrors the WPQ sweep: every entry <= limit goes. The model
-// deletes by value, so the table's front pops must find them all.
+// deletes by value, so the table's prefix walk must find them all.
 func (m *tableModel) popBelow(limit int64) {
 	m.tbl.popBelow(limit)
 	for k, v := range m.ref {
 		if v <= limit {
 			delete(m.ref, k)
+			delete(m.linked, k)
+			delete(m.reput, k)
 			m.drop(k)
+		} else if m.linked[k] <= limit {
+			m.steppedOver++
 		}
 	}
 }
@@ -71,10 +89,14 @@ func (m *tableModel) check() {
 	}
 	var got []int64
 	for i := m.tbl.head; i >= 0; i = m.tbl.slots[i].next {
-		got = append(got, m.tbl.slots[i].key)
+		s := m.tbl.slots[i]
+		got = append(got, s.key)
+		if (s.val < 0) != m.reput[s.key] {
+			m.t.Fatalf("key %d holds %d; re-put since linked: %v", s.key, s.val, m.reput[s.key])
+		}
 	}
 	if !slices.Equal(got, m.order) {
-		m.t.Fatalf("put order %v, want %v", got, m.order)
+		m.t.Fatalf("link order %v, want %v", got, m.order)
 	}
 }
 
@@ -157,6 +179,32 @@ func TestAddrTableSpareBufferRebuildUnderDrainSortedPops(t *testing.T) {
 	}
 	// And correctness must survive the buffer swaps (the model cleared to
 	// match: AllocsPerRun drove the raw table only, leaving it empty).
-	m.ref, m.order = map[int64]int64{}, nil
+	m.ref, m.order, m.linked, m.reput = map[int64]int64{}, nil, map[int64]int64{}, map[int64]bool{}
 	warm(50)
+}
+
+// TestAddrTableSweepStepsOverRePuts puts a small key set at rising drains,
+// as a WPQ does, so most puts re-put a key linked long before. Sweep
+// limits lie past those early links but below the keys' current drains:
+// the walk must step over them, keep their place, and still delete every
+// drained entry linked around them, across rebuilds.
+func TestAddrTableSweepStepsOverRePuts(t *testing.T) {
+	m := newTableModel(t)
+	rng := rand.New(rand.NewSource(3))
+	drain := int64(0)
+	for step := 0; step < 20000; step++ {
+		drain++
+		if rng.Intn(8) == 0 {
+			m.popBelow(drain - int64(rng.Intn(96)))
+		} else {
+			m.put(int64(rng.Intn(128))*0x1000, drain)
+		}
+		if step%499 == 0 {
+			m.check()
+		}
+	}
+	m.check()
+	if m.steppedOver == 0 {
+		t.Error("no sweep stepped over a re-put entry")
+	}
 }

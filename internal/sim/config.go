@@ -35,7 +35,7 @@ type Config struct {
 	NVMReadLat  int64
 	NVMWriteBPC float64 // media write bandwidth per MC, bytes/cycle
 
-	NumMCs int
+	NumMCs int // a power of two: 4 KiB pages interleave across MCs by mask
 	// MCChannels scales per-MC media write bandwidth: an MC drains its WPQ
 	// across several DIMM channels in parallel.
 	MCChannels int

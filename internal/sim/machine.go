@@ -193,6 +193,9 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 	if cfg.Cores > MaxCores {
 		return nil, fmt.Errorf("sim: %d cores exceeds the %d-core address map", cfg.Cores, MaxCores)
 	}
+	if cfg.NumMCs < 1 || cfg.NumMCs&(cfg.NumMCs-1) != 0 {
+		return nil, fmt.Errorf("sim: NumMCs %d is not a power of two", cfg.NumMCs)
+	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 100_000_000
 	}
@@ -392,9 +395,7 @@ func (m *Machine) CollectStats() Stats {
 	for _, c := range m.cores {
 		fin := c.cycle
 		if m.Sch.Persist && m.Sch.UseRBT {
-			if d := c.rbt.DrainTime(c.cycle); d > fin {
-				fin = d
-			}
+			fin = max(fin, c.rbt.DrainTime(c.cycle))
 		}
 		if fin > maxCycle {
 			maxCycle = fin
@@ -433,7 +434,7 @@ func (m *Machine) eff(lat int64) int64 {
 }
 
 func (m *Machine) mcOf(addr int64) int {
-	return int(uint64(addr>>12) % uint64(len(m.wpqs)))
+	return int(uint64(addr>>12) & uint64(len(m.wpqs)-1))
 }
 
 // missLatency descends the hierarchy below a missing L1D access and
@@ -536,7 +537,7 @@ func (m *Machine) memStore(c *core, addr, val int64) {
 
 	logged := false
 	if m.Sch.MCSpec {
-		logged = IsCkptArea(addr) || c.rbt.Occupancy(c.cycle) > 0
+		logged = IsCkptArea(addr) || c.rbt.Busy(c.cycle)
 	}
 	logBytes := 0
 	if logged {
@@ -726,10 +727,8 @@ func (m *Machine) handleSyncGroup(c *core, f *frame, in *ir.Instr) {
 	// must be durable before a synchronization point commits.
 	if m.Sch.Persist {
 		target := c.rbt.DrainTime(c.cycle)
-		if m.Sch.UseRBT || m.Sch.BoundaryStall {
-			if c.cur != nil && c.cur.persistMax > target {
-				target = c.cur.persistMax
-			}
+		if (m.Sch.UseRBT || m.Sch.BoundaryStall) && c.cur != nil {
+			target = max(target, c.cur.persistMax)
 		}
 		if target > c.cycle {
 			m.stats.DrainStallCyc += target - c.cycle

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cwsp/internal/compiler"
@@ -258,5 +259,25 @@ func TestAtomicDrainStalls(t *testing.T) {
 	}
 	if res.Mem.Load(HeapBase+8) != 100 {
 		t.Errorf("atomic counter = %d, want 100", res.Mem.Load(HeapBase+8))
+	}
+}
+
+// TestNumMCsPowerOfTwo: controllers interleave pages by mask, so the
+// machine rejects a controller count that is not a power of two, naming
+// it, and runs every power of two the configurations use.
+func TestNumMCsPowerOfTwo(t *testing.T) {
+	p := progen.Generate(1, progen.DefaultConfig())
+	for _, n := range []int{3, 6, 0} {
+		cfg := DefaultConfig()
+		cfg.NumMCs = n
+		_, err := New(p, cfg, CWSP())
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("NumMCs %d ", n)) {
+			t.Errorf("NumMCs %d: err = %v, want a rejection naming it", n, err)
+		}
+	}
+	for _, n := range []int{1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.NumMCs = n
+		runBoth(t, p, cfg, CWSP())
 	}
 }

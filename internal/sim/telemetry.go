@@ -112,8 +112,8 @@ func (m *Machine) EnableTelemetry(opt TelemetryOptions) *Telemetry {
 func (m *Machine) Telemetry() *Telemetry { return m.tel }
 
 // sample snapshots every gauge at cycle now. Occupancy queries only
-// garbage-collect already-drained schedule entries, so sampling never
-// perturbs timing (property-tested).
+// record the cycle they read at, behind which the owner never schedules,
+// so sampling never perturbs timing (property-tested).
 func (t *Telemetry) sample(now int64) {
 	vals := t.scratch[:0]
 	dc := now - t.lastCycle
