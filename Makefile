@@ -49,10 +49,12 @@ bench-kernel-gotest:
 # seed × scheme × crash point, the threaded kernel must agree with the
 # reference byte-for-byte), its instrumented arm (the same cells with
 # telemetry and a tracer attached, at a fuzzed sample interval and stop
-# point), the persist-path models (WPQ pending drains and PB line times
-# against the plain maps they replaced, and the PB, WPQ drain ring and
-# RBT rings against the collected queues they replaced, reads behind the
-# owner's clock included, over operation sequences and PB/WPQ/RBT sizes),
+# point), the persist-path models (WPQ pending drains, from the table two
+# cores query and from the scan of its own admits a one-core WPQ fed by a
+# PB runs, and PB line times, against the plain maps they replaced, and
+# the PB, WPQ drain ring and RBT rings against the collected queues they
+# replaced, reads behind the owner's clock included, over operation
+# sequences and PB/WPQ/RBT sizes),
 # the memory models (caches, DRAM cache, page image and the write-buffer
 # ring against reference models and its old queue over access streams),
 # the litmus spec grammar

@@ -28,18 +28,27 @@ type modelCover struct {
 	stalls  int64
 	behind  int // reads behind the owner's last collection that found entries
 	fresh   int // reads behind it that found the newest entry, recorded at that cycle, still queued
+	// hidden counts queries the map answers 0 though the word's newest
+	// admit drains after now: another core dropped the entry at a later
+	// clock. A scan of the WPQ's admits would find it.
+	hidden  int
+	atDrain int // queries at exactly the drain of the word's newest admit
+	deepest int // the most entries pending in the queried WPQ at a query
 }
 
 // checkWPQModel drives a WPQ's Admit/PendingUntil/Sweep with ops (three
 // bytes per operation) against a map that is collected on a stale query
 // and by a range-and-delete once it holds 4x the queue's capacity. Two
 // cores issue the operations at their own clocks, so queries and sweeps
-// arrive out of cycle order.
+// arrive out of cycle order, and a core can query a word another core
+// dropped at a later clock: the map then answers 0 though the word's
+// newest admit is still pending, which is why such a WPQ keeps the table.
 func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 	t.Helper()
 	w := NewWPQ(capacity, 0.5) // 16 cycles per 8-byte entry: entries stay pending
 	fifo := newFifoWPQ(capacity, 0.5)
 	ref := map[int64]int64{}
+	newest := map[int64]int64{} // word -> drain of its newest admit, never dropped
 	var clock [2]int64
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, a, d := ops[i], ops[i+1], ops[i+2]
@@ -55,6 +64,7 @@ func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 			}
 			if addr != 0 {
 				ref[addr&^7] = drain
+				newest[addr&^7] = drain
 			}
 		case 2:
 			want := int64(0)
@@ -66,6 +76,8 @@ func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 					want = v
 					cov.pending++
 				}
+			} else if newest[addr&^7] > now {
+				cov.hidden++
 			}
 			if got := w.PendingUntil(addr, now); got != want {
 				t.Fatalf("op %d: PendingUntil(%#x, %d) = %d, map says %d", i/3, addr, now, got, want)
@@ -92,6 +104,88 @@ func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
 		t.Fatalf("FullWait %d, queue says %d", w.FullWait, fifo.fullWait)
 	}
 	cov.stalls = w.FullWait
+	return cov
+}
+
+// checkOneCoreModel drives a Path feeding two one-core WPQs the way a
+// one-core machine does, at one clock that only rises: stores send at it,
+// and loads check the queried WPQ at it, stall to a hit's drain when the
+// operation says so (as WPQDelay does), and sweep at the cycle they leave
+// at. Each WPQ's PendingUntil must answer as the map the load check used
+// to keep, collected as checkWPQModel collects it. The WPQs drain slowly
+// enough to fill themselves and the PB. Some loads query a word at
+// exactly its newest admit's drain, and addresses carry low bits.
+func checkOneCoreModel(t testing.TB, pbSize, wpqSize int, oneWay int64, ops []byte) (cov modelCover) {
+	t.Helper()
+	p := NewPath(pbSize, 2.0, oneWay)
+	wpqs := []*WPQ{NewOneCoreWPQ(wpqSize, 0.25, pbSize), NewOneCoreWPQ(wpqSize, 0.25, pbSize)}
+	fifo := newFifoPath(pbSize, 2.0, oneWay)
+	fifoWPQs := []*fifoWPQ{newFifoWPQ(wpqSize, 0.25), newFifoWPQ(wpqSize, 0.25)}
+	refs := []map[int64]int64{{}, {}}
+	newest := []map[int64]int64{{}, {}} // word -> drain of its newest admit
+	drains := [][]int64{nil, nil}       // every admit's drain, oldest first
+	clock, last, lastMC := int64(0), int64(0), 0
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, a, d := ops[i], ops[i+1], ops[i+2]
+		mc := int(op>>2) & 1
+		addr := int64(a>>1)*64 + int64(d%8)*8 + int64(d>>3)&7
+		switch op % 4 {
+		case 0, 1:
+			proceed, _ := p.Send(clock, addr, 8, wpqs[mc], int64(mc)*30, 16*int(op>>7))
+			if fp, _ := fifo.send(clock, addr, 8, fifoWPQs[mc], int64(mc)*30, 16*int(op>>7)); proceed != fp {
+				t.Fatalf("op %d: Send(%d) proceeds at %d, queue says %d", i/3, clock, proceed, fp)
+			}
+			drain := fifoWPQs[mc].lastDrain
+			drains[mc] = append(drains[mc], drain)
+			if addr != 0 {
+				refs[mc][addr&^7] = drain
+				newest[mc][addr&^7] = drain
+			}
+			clock = proceed + int64(d>>6)
+			last, lastMC = addr, mc
+		case 2, 3:
+			clock += int64(d % 16)
+			if a&1 == 0 {
+				addr, mc = last&^7|int64(d>>4)&7, lastMC // a byte of the word stored last
+			}
+			key, ref := addr&^7, refs[mc]
+			if v := newest[mc][key]; op%4 == 3 && v >= clock {
+				clock = v
+				cov.atDrain++
+			}
+			n := 0
+			for j := len(drains[mc]) - 1; j >= 0 && drains[mc][j] > clock; j-- {
+				n++
+			}
+			cov.deepest = max(cov.deepest, n)
+			want := int64(0)
+			if v, ok := ref[key]; ok {
+				if v <= clock {
+					delete(ref, key)
+					cov.stale++
+				} else {
+					want = v
+					cov.pending++
+				}
+			}
+			if got := wpqs[mc].PendingUntil(addr, clock); got != want {
+				t.Fatalf("op %d: WPQ %d PendingUntil(%#x, %d) = %d, map says %d", i/3, mc, addr, clock, got, want)
+			}
+			if want > 0 && op>>7 == 1 {
+				clock = want
+			}
+			wpqs[mc].Sweep(clock)
+			if len(ref) >= 4*wpqSize {
+				for k, v := range ref {
+					if v <= clock {
+						delete(ref, k)
+						cov.swept++
+					}
+				}
+			}
+		}
+	}
+	cov.stalls = p.PBStall
 	return cov
 }
 
@@ -285,8 +379,31 @@ func TestWPQPendingMatchesMapModel(t *testing.T) {
 	for _, capacity := range modelWPQSizes {
 		for seed := int64(0); seed < 8; seed++ {
 			cov := checkWPQModel(t, capacity, modelOps(rand.New(rand.NewSource(seed)), 4000))
-			if cov.pending == 0 || cov.stale == 0 || cov.swept == 0 {
+			if cov.pending == 0 || cov.stale == 0 || cov.swept == 0 || cov.hidden == 0 {
 				t.Errorf("WPQ %d seed %d: sequence missed a rule: %+v", capacity, seed, cov)
+			}
+		}
+	}
+}
+
+// TestOneCoreWPQMatchesMapModel also requires the sequences to fill the
+// PB, up to 50 entries (the loads' stalls let the media catch up before
+// 288 fill), and to reach the bound the one-core scan rests on, WPQ size
+// + PB size entries pending at once, at the PB sizes where bursts of
+// sends fill the PB with entries for one WPQ.
+func TestOneCoreWPQMatchesMapModel(t *testing.T) {
+	for _, pb := range modelPBSizes {
+		for _, wq := range modelWPQSizes {
+			deepest := 0
+			for seed := int64(0); seed < 4; seed++ {
+				cov := checkOneCoreModel(t, pb, wq, modelOneWay(seed), modelOps(rand.New(rand.NewSource(seed)), 4000))
+				if cov.pending == 0 || cov.stale == 0 || cov.swept == 0 || cov.atDrain == 0 || pb <= 50 && cov.stalls == 0 {
+					t.Errorf("PB %d / WPQ %d seed %d: sequence missed a rule: %+v", pb, wq, seed, cov)
+				}
+				deepest = max(deepest, cov.deepest)
+			}
+			if pb <= 4 && deepest != wq+pb {
+				t.Errorf("PB %d / WPQ %d: at most %d entries pending at a query, want %d", pb, wq, deepest, wq+pb)
 			}
 		}
 	}
@@ -332,7 +449,9 @@ func FuzzPersistModels(f *testing.F) {
 		}
 		wq := modelWPQSizes[int(wpqSel)%len(modelWPQSizes)]
 		checkWPQModel(t, wq, ops)
-		checkPathModel(t, modelPBSizes[int(pbSel)%len(modelPBSizes)], wq, modelOneWay(int64(pbSel>>4)), ops)
+		pb, oneWay := modelPBSizes[int(pbSel)%len(modelPBSizes)], modelOneWay(int64(pbSel>>4))
+		checkPathModel(t, pb, wq, oneWay, ops)
+		checkOneCoreModel(t, pb, wq, oneWay, ops)
 		checkRBTModel(t, 1+int(wpqSel>>4), ops)
 	})
 }

@@ -11,6 +11,8 @@
 // advance lazily instead of cycle by cycle.
 package persist
 
+import "fmt"
+
 // WPQ is one memory controller's write pending queue. Entries are 8-byte
 // words (cWSP) or 64-byte lines (prior work); arrival order equals drain
 // order. The WPQ is inside the persistence domain: a store is *persisted*
@@ -26,17 +28,45 @@ type WPQ struct {
 	next      int
 	lastDrain int64
 
-	// pending maps word address -> drain time, for the load-delay check
-	// (paper Section V-A2). Drains rise strictly per queue, so the table's
-	// link order is drain order.
+	// The load-delay check (paper Section V-A2) reads one of two records
+	// of the admitted words' drain times (DESIGN.md "Pending check").
+	// recent, on a WPQ only one core feeds and queries (NewOneCoreWPQ), is
+	// a ring of the last cap+pbCap+1 admits, rising from rnext, the slot
+	// of the oldest. pending, otherwise, maps word address -> drain time;
+	// drains rise strictly per queue, so its link order is drain order.
+	recent  []admitted
+	rnext   int
 	pending *addrTable
 
 	Admits   int64
 	FullWait int64 // total cycles arrivals waited for a free slot
 }
 
-// NewWPQ builds a WPQ with the given capacity and NVM write drain rate.
+// admitted is one recent admit of a one-core WPQ.
+type admitted struct{ word, drain int64 }
+
+// untracked is the word recorded for an admit at address 0, which the
+// load check never finds: no word address (a multiple of 8) equals it.
+const untracked = 1
+
+// NewWPQ builds a WPQ with the given capacity and NVM write drain rate,
+// which any number of cores may feed and query.
 func NewWPQ(capacity int, bytesPerCycle float64) *WPQ {
+	w := newWPQ(capacity, bytesPerCycle)
+	w.pending = newAddrTable()
+	return w
+}
+
+// NewOneCoreWPQ builds a WPQ that one core feeds, through one Path with a
+// PB of pbCap entries, and queries at its own clock, which never falls.
+// Its load check keeps no table: it scans the WPQ's own recent admits.
+func NewOneCoreWPQ(capacity int, bytesPerCycle float64, pbCap int) *WPQ {
+	w := newWPQ(capacity, bytesPerCycle)
+	w.recent = make([]admitted, w.cap+max(pbCap, 1)+1)
+	return w
+}
+
+func newWPQ(capacity int, bytesPerCycle float64) *WPQ {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -47,7 +77,6 @@ func NewWPQ(capacity int, bytesPerCycle float64) *WPQ {
 		cap:       capacity,
 		media:     newRate(bytesPerCycle),
 		drainDone: make([]int64, capacity),
-		pending:   newAddrTable(),
 	}
 }
 
@@ -68,7 +97,14 @@ func (w *WPQ) Admit(arrival int64, addr int64, bytes int) (admit, drain int64) {
 	w.next = ringNext(w.next, w.cap)
 	w.Admits++
 
-	if addr != 0 {
+	if w.pending == nil {
+		word := addr &^ 7
+		if addr == 0 {
+			word = untracked
+		}
+		w.recent[w.rnext] = admitted{word, drain}
+		w.rnext = ringNext(w.rnext, len(w.recent))
+	} else if addr != 0 {
 		w.pending.put(addr&^7, drain)
 	}
 	return admit, drain
@@ -92,11 +128,25 @@ func (w *WPQ) Backlog(now int64) int64 {
 	return 0
 }
 
-// PendingUntil returns the drain time of a pending entry covering addr, or
-// 0 when nothing is pending at cycle now. Stale map entries are collected
-// on query.
+// PendingUntil returns the drain time of the newest entry for addr's word
+// if it drains after cycle now, else 0. An admit at address 0 is never
+// found.
+//
+// A one-core WPQ scans its recent admits newest first. Drains rise
+// strictly, so the scan stops at the first entry drained by now: it and
+// every older entry are drained. At most cap+pbCap entries can be pending
+// at the core's clock (DESIGN.md "Pending check"); the scan panics if the
+// entry before them is pending too.
+//
+// Any other WPQ looks the word up in its pending table, and deletes the
+// entry when it is drained by now. Cores query at their own clocks, so a
+// core behind that now then gets 0 even while the entry is pending at its
+// own clock.
 func (w *WPQ) PendingUntil(addr, now int64) int64 {
 	key := addr &^ 7
+	if w.pending == nil {
+		return w.scanRecent(key, now)
+	}
 	d, ok := w.pending.get(key)
 	if !ok {
 		return 0
@@ -108,12 +158,32 @@ func (w *WPQ) PendingUntil(addr, now int64) int64 {
 	return d
 }
 
-// Sweep drops drained pending-address entries (bounds table growth) once
-// the table holds 4x the queue's capacity. popBelow deletes exactly what
-// a range-and-delete over every entry would, at any now (cores query at
-// their own clocks).
+func (w *WPQ) scanRecent(key, now int64) int64 {
+	n := len(w.recent)
+	i := w.rnext
+	for range n - 1 {
+		i = ringPrev(i, n)
+		e := &w.recent[i]
+		if e.drain <= now {
+			return 0
+		}
+		if e.word == key {
+			return e.drain
+		}
+	}
+	if w.recent[w.rnext].drain > now {
+		panic(fmt.Sprintf("persist: more than WPQSize %d + PBSize %d entries pending at cycle %d: one core must feed this WPQ, through a PB of PBSize entries, and query it at a clock that never falls",
+			w.cap, n-1-w.cap, now))
+	}
+	return 0
+}
+
+// Sweep bounds the pending table's growth: once it holds 4x the queue's
+// capacity, it drops the entries drained by now. popBelow deletes exactly
+// what a range-and-delete over every entry would, at any now (cores query
+// at their own clocks). A one-core WPQ has no table; Sweep does nothing.
 func (w *WPQ) Sweep(now int64) {
-	if w.pending.live >= 4*w.cap {
+	if w.pending != nil && w.pending.live >= 4*w.cap {
 		w.pending.popBelow(now)
 	}
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +39,28 @@ func TestWPQPendingUntil(t *testing.T) {
 	if got := w.PendingUntil(0x1000, drain+1); got != 0 {
 		t.Error("pending map not collected")
 	}
+}
+
+// TestOneCoreWPQPanicsPastBound admits three entries straight into a
+// one-core WPQ sized for a one-entry queue and a one-entry PB, with no
+// PB to hold the third back: all three are pending at cycle 0, one more
+// than the bound, so a query that scans past the two newest panics,
+// naming both sizes.
+func TestOneCoreWPQPanicsPastBound(t *testing.T) {
+	w := NewOneCoreWPQ(1, 0.01, 1) // 800 cycles per 8-byte entry
+	for i := range 3 {
+		w.Admit(0, int64(0x1000+8*i), 8)
+	}
+	if got := w.PendingUntil(0x1008, 0); got != 1600 {
+		t.Errorf("PendingUntil(0x1008, 0) = %d, want 1600", got)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "WPQSize 1 + PBSize 1") {
+			t.Errorf("panic %q, want one naming WPQSize 1 and PBSize 1", msg)
+		}
+	}()
+	w.PendingUntil(0x2000, 0)
 }
 
 func TestWPQDrainSerialization(t *testing.T) {

@@ -217,7 +217,14 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 		ch = 1
 	}
 	for i := 0; i < cfg.NumMCs; i++ {
-		m.wpqs = append(m.wpqs, persist.NewWPQ(cfg.WPQSize, cfg.NVMWriteBPC*float64(ch)))
+		bpc := cfg.NVMWriteBPC * float64(ch)
+		if len(specs) == 1 {
+			// A lone core's clock never falls, so the load check can scan
+			// the WPQ's own admits (DESIGN.md "Pending check").
+			m.wpqs = append(m.wpqs, persist.NewOneCoreWPQ(cfg.WPQSize, bpc, cfg.PBSize))
+		} else {
+			m.wpqs = append(m.wpqs, persist.NewWPQ(cfg.WPQSize, bpc))
+		}
 	}
 
 	m.funcIdx = map[string]int{}

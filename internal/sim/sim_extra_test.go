@@ -150,9 +150,12 @@ func TestSpillRestoreTraffic(t *testing.T) {
 	}
 }
 
-func TestWPQDelayCountsHits(t *testing.T) {
-	// Store then immediately load a large streaming region beyond all
-	// caches: some loads must find their word pending in a WPQ.
+// wpqHitRun runs a loop that stores a line, then reads a word stored a
+// few lines earlier, on each of threads cores. With tiny caches the word
+// has been evicted, and with slow NVM media its WPQ entry is still
+// pending, so loads find their word pending in a WPQ.
+func wpqHitRun(t *testing.T, threads int) Stats {
+	t.Helper()
 	fb := ir.NewFunc("main", 0)
 	fb.NewBlock("entry")
 	i := fb.Reg()
@@ -167,9 +170,6 @@ func TestWPQDelayCountsHits(t *testing.T) {
 	c := fb.Bin(ir.OpCmpLT, ir.R(i), ir.Imm(3000))
 	fb.Br(ir.R(c), body, exit)
 	fb.SetBlock(body)
-	// Store a line, then read a word stored a few lines earlier: with tiny
-	// caches it has been evicted, and with slow NVM media its WPQ entry is
-	// still pending.
 	off := fb.Mul(ir.R(i), ir.Imm(64))
 	a := fb.Add(ir.Imm(0x3000_0000), ir.R(off))
 	fb.Store(ir.R(i), ir.R(a), 0)
@@ -192,7 +192,11 @@ func TestWPQDelayCountsHits(t *testing.T) {
 	sch := CWSP()
 	sch.DRAMCache = false
 	cfg.NVMWriteBPC = 0.02 // very slow media: WPQ entries linger
-	m, err := New(q, cfg, sch)
+	specs := make([]ThreadSpec, threads)
+	for k := range specs {
+		specs[k] = ThreadSpec{Fn: "main"}
+	}
+	m, err := NewThreaded(q, cfg, sch, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +204,27 @@ func TestWPQDelayCountsHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.WPQHits == 0 {
-		t.Error("expected WPQ hits for immediate read-after-write at NVM distance")
-	}
-	if res.Stats.WPQLoadDelay == 0 {
-		t.Error("WPQDelay scheme should charge delay cycles on hits")
+	return res.Stats
+}
+
+// TestWPQDelayCountsHits pins the load check's hits, the delay the
+// WPQDelay scheme charges for them, and the run's length, on one core,
+// where the check scans each WPQ's recent admits, and on two, where it
+// reads the pending table. The one-core counts are the table's: the scan
+// must reproduce them.
+func TestWPQDelayCountsHits(t *testing.T) {
+	for _, want := range []struct {
+		threads             int
+		hits, delay, cycles int64
+	}{
+		{1, 1503, 1_182_234, 2_249_873},
+		{2, 1507, 2_162_899, 4_510_073},
+	} {
+		st := wpqHitRun(t, want.threads)
+		if st.WPQHits != want.hits || st.WPQLoadDelay != want.delay || st.Cycles != want.cycles {
+			t.Errorf("%d threads: WPQHits %d, WPQLoadDelay %d, Cycles %d; want %d, %d, %d", want.threads,
+				st.WPQHits, st.WPQLoadDelay, st.Cycles, want.hits, want.delay, want.cycles)
+		}
 	}
 }
 
