@@ -58,15 +58,17 @@ bench-kernel-gotest:
 # the memory models (caches, DRAM cache, page image and the write-buffer
 # ring against reference models and its old queue over access streams),
 # the litmus spec grammar
-# round-trip (spec string → plan → spec), and the campaign-journal decoder
-# (arbitrary bytes → longest verifiable prefix, re-decode stable, fold
-# never panics).
+# round-trip (spec string → plan → spec), the sealed-log codec under the
+# journal's and the store's magics (arbitrary bytes → longest verifiable
+# prefix, re-decode stable), and the journal's fold of whatever decodes
+# (never panics).
 fuzz-smoke:
 	$(GO) test ./internal/simtest -run xxx -fuzz FuzzKernelEquivalence -fuzztime 20s
 	$(GO) test ./internal/simtest -run xxx -fuzz FuzzThreadedEquivalence -fuzztime 10s
 	$(GO) test ./internal/persist -run xxx -fuzz FuzzPersistModels -fuzztime 10s
 	$(GO) test ./internal/mem -run xxx -fuzz FuzzMemModels -fuzztime 10s
 	$(GO) test ./internal/litmus -run xxx -fuzz FuzzLitmusSpec -fuzztime 10s
+	$(GO) test ./internal/wal -run xxx -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/service -run xxx -fuzz FuzzJournalDecode -fuzztime 10s
 
 # Small seeded fault-injection campaign with nested crash-during-recovery
@@ -103,9 +105,11 @@ cwspd-smoke:
 	$(GO) build -o bin/cwspload ./cmd/cwspload
 	./bin/cwspload -spawn-bin ./bin/cwspd -smoke
 
-# Seeded crash-recovery campaign against a real journaled daemon: 20
-# SIGKILLs at seeded points cycling the queue/run/flush phases, a restart
-# after each, then the durability contract — zero accepted-but-lost
+# Seeded crash-recovery campaign against a real journaled daemon that
+# compacts its store and journal after every campaign: 20 SIGKILLs at
+# seeded points cycling the queue/run/flush phases (flush kills land in
+# and around compactions), a restart after each, then the durability
+# contract — zero accepted-but-lost
 # campaigns, idempotent replay of journaled results on resubmit, and a
 # final report byte-identical to an uninterrupted run.
 chaos-smoke:

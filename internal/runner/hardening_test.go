@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cwsp/internal/wal"
 )
 
 // Put/Flush/Compact after Close must fail loudly with the typed ErrClosed
@@ -65,10 +68,10 @@ func TestStoreLockConflictAndStaleReclaim(t *testing.T) {
 	}
 
 	// A second handle on the same directory conflicts while the first lives.
-	if _, err := OpenStore(dir); !errors.Is(err, ErrLocked) {
+	if _, err := OpenStore(dir); !errors.Is(err, wal.ErrLocked) {
 		t.Fatalf("double open: err=%v, want ErrLocked", err)
 	}
-	var lerr *LockError
+	var lerr *wal.LockError
 	if _, err := OpenStore(dir); !errors.As(err, &lerr) || lerr.OwnerPID != os.Getpid() {
 		t.Fatalf("double open: err=%v, want *LockError owned by pid %d", err, os.Getpid())
 	}
@@ -77,7 +80,7 @@ func TestStoreLockConflictAndStaleReclaim(t *testing.T) {
 	}
 
 	// A lock with an unreadable owner is stale: reclaimed, not fatal.
-	lockPath := filepath.Join(dir, lockFileName)
+	lockPath := filepath.Join(dir, "LOCK")
 	if err := os.WriteFile(lockPath, []byte("not-a-pid\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -114,29 +117,31 @@ func TestStoreCompact(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	logPath := filepath.Join(dir, storeFile)
+	one, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Grow garbage: a superseded duplicate line, a torn append, and a whole
-	// shard file from an incompatible store generation.
-	var shardFile string
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "cells-v") {
-			shardFile = filepath.Join(dir, e.Name())
-		}
-	}
-	line, err := os.ReadFile(shardFile)
+	// Grow garbage: a torn append, a shard of the previous store version
+	// holding a record of its own, and a temp file of a cut-short rewrite.
+	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(shardFile, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(line)               // duplicate (superseded on load)
-	f.WriteString(`{"sig":"to`) // torn append, no newline
+	f.Write(one[:len(one)-2])
 	f.Close()
-	orphan := filepath.Join(dir, "cells-v0-a.jsonl")
-	if err := os.WriteFile(orphan, []byte("{}\n{}\n"), 0o644); err != nil {
+	v1 := simKey(2)
+	line, err := json.Marshal(record{Sig: v1.Signature(), Key: v1, Val: json.RawMessage(`2`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, "cells-v1-"+v1.Signature()[:1]+".jsonl")
+	if err := os.WriteFile(orphan, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, storeFile+".123.tmp")
+	if err := os.WriteFile(tmp, one, 0o600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,21 +150,23 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if _, ok := s2.Get(v1.Signature()); ok || s2.Loaded() != 1 {
+		t.Fatalf("previous store version read: loaded %d records, want 1", s2.Loaded())
+	}
 	st, err := s2.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LinesBefore != 5 { // 3 in the live shard + 2 in the orphan
-		t.Fatalf("LinesBefore=%d, want 5", st.LinesBefore)
+	if st.Records != 1 || st.Bytes != int64(len(one)) || st.OrphanFiles != 2 {
+		t.Fatalf("compact stats %+v, want records=1 bytes=%d orphans=2", st, len(one))
 	}
-	if st.Records != 1 || st.Dropped != 4 || st.OrphanFiles != 1 {
-		t.Fatalf("compact stats %+v, want records=1 dropped=4 orphans=1", st)
+	for _, p := range []string{orphan, tmp} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived compaction: %v", filepath.Base(p), err)
+		}
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("orphan generation survived compaction: %v", err)
-	}
-	if n, err := countLines(shardFile); err != nil || n != 1 {
-		t.Fatalf("compacted shard has %d lines (err=%v), want 1", n, err)
+	if b, err := os.ReadFile(logPath); err != nil || !bytes.Equal(b, one) {
+		t.Fatalf("compacted log is %d bytes (err=%v), want the one record's %d", len(b), err, len(one))
 	}
 	if raw, ok := s2.Get(k.Signature()); !ok || string(raw) != `{"cycles":1}` {
 		t.Fatalf("record lost in compaction: %q ok=%v", raw, ok)
@@ -361,7 +368,7 @@ func TestProgressRestartExcludesQueueWait(t *testing.T) {
 // leave two live owners; flock(2) has no reclaim step to race.
 func TestStoreLockConcurrentReclaim(t *testing.T) {
 	dir := t.TempDir()
-	lockPath := filepath.Join(dir, lockFileName)
+	lockPath := filepath.Join(dir, "LOCK")
 	// A dead owner: pid beyond the default pid_max.
 	if err := os.WriteFile(lockPath, []byte(fmt.Sprintf("%d\n", 1<<30)), 0o644); err != nil {
 		t.Fatal(err)
@@ -381,7 +388,7 @@ func TestStoreLockConcurrentReclaim(t *testing.T) {
 			case err == nil:
 				stores[i] = s
 				won.Add(1)
-			case !errors.Is(err, ErrLocked):
+			case !errors.Is(err, wal.ErrLocked):
 				t.Errorf("racer %d: %v", i, err)
 			}
 		}(i)
@@ -397,18 +404,19 @@ func TestStoreLockConcurrentReclaim(t *testing.T) {
 	}
 }
 
-// OpenStoreWait outlives a lock holder that releases within the wait
-// budget — the restart-after-SIGKILL path, where a successor daemon races
-// the kernel reaping its predecessor.
+// A store open through wal.OpenWait outlives a lock holder that releases
+// within the wait budget — the restart-after-SIGKILL path, where a
+// successor daemon races the kernel reaping its predecessor.
 func TestOpenStoreWait(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := func() (*Store, error) { return OpenStore(dir) }
 
 	// Zero wait fails fast while the owner lives.
-	if _, err := OpenStoreWait(dir, 0); !errors.Is(err, ErrLocked) {
+	if _, err := wal.OpenWait(0, open); !errors.Is(err, wal.ErrLocked) {
 		t.Fatalf("zero-wait open under live lock: err=%v, want ErrLocked", err)
 	}
 
@@ -417,7 +425,7 @@ func TestOpenStoreWait(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		s.Close()
 	}()
-	s2, err := OpenStoreWait(dir, 5*time.Second)
+	s2, err := wal.OpenWait(5*time.Second, open)
 	if err != nil {
 		t.Fatalf("waited open: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Package runner is the parallel experiment engine: it decomposes a sweep
 // into independent work-unit Cells keyed by a content signature, executes
 // them on a bounded worker pool with per-cell panic isolation and bounded
-// retry, and memoizes results in a persistent sharded-JSONL store so a
+// retry, and memoizes results in a persistent sealed-log store so a
 // repeated or interrupted sweep resumes instead of recomputing. Simulations
 // in this repo are bit-deterministic and share no mutable state, which makes
 // every experiment cell embarrassingly parallel and perfectly cacheable;
@@ -43,11 +43,6 @@ func (k Key) Signature() string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// Shard maps the signature to one of 16 store shards (its first hex digit),
-// keeping individual JSONL files small enough that the atomic
-// rewrite-and-rename flush stays cheap as a cache grows.
-func (k Key) Shard() string { return k.Signature()[:1] }
 
 // String renders the key for logs and store records.
 func (k Key) String() string {

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bufio"
 	"bytes"
 	"container/list"
 	"encoding/json"
@@ -9,36 +8,40 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"cwsp/internal/telemetry/live"
+	"cwsp/internal/wal"
 )
 
-// storeVersion is embedded in every shard filename; bumping it orphans (but
-// does not delete) caches written by incompatible record layouts. Compact
-// removes orphaned generations.
-const storeVersion = 1
+const (
+	// storeFile is the store's one log inside its directory. The version
+	// in its name orphans caches written by incompatible record layouts
+	// (version 1 was 16 JSONL shards, cells-v1-*.jsonl); Compact removes
+	// them.
+	storeFile = "cells-v2.wal"
+	// storeMagic frames every store record ("CWSC" little-endian).
+	storeMagic = uint32(0x43535743)
+)
 
 // ErrClosed is returned by every mutating Store method after Close. The
 // pre-Close behavior was a silent race: a straggling pool worker could Put
-// into (or Flush) a store whose owner had already moved on, resurrecting a
-// shard file after the directory was supposedly quiescent.
+// into (or Flush) a store whose owner had already moved on, writing to a
+// directory that was supposedly quiescent.
 var ErrClosed = errors.New("runner: store is closed")
 
-// record is one JSONL line of a shard file. The key is stored alongside the
-// signature purely for human inspection of cache files; lookups go through
-// the signature alone.
+// record is one log record. The key is stored alongside the signature
+// purely for human inspection of cache files; lookups go through the
+// signature alone.
 type record struct {
 	Sig string          `json:"sig"`
 	Key Key             `json:"key"`
 	Val json.RawMessage `json:"val"`
 }
 
-// recSize approximates one record's on-disk footprint (JSONL line length)
-// for the eviction budget without marshaling on every Put.
+// recSize approximates one record's on-disk footprint for the eviction
+// budget without marshaling on every Put.
 func recSize(r record) int64 {
 	k := r.Key
 	return int64(2*len(r.Sig)+len(r.Val)+
@@ -49,45 +52,51 @@ func recSize(r record) int64 {
 // lruEntry is one cached record plus its budget charge; list order is
 // recency (front = most recently used).
 type lruEntry struct {
-	rec  record
-	size int64
+	rec    record
+	size   int64
+	logged bool // the log holds this record as it is now
 }
 
-// Store is the persistent result cache: a directory of 16 sharded JSONL
-// files, one record per completed cell, keyed by content signature. All
-// methods are safe for concurrent use, and exactly one live handle may own
-// a directory at a time (a flock(2)-held lock file keeps a daemon and
-// ad-hoc CLI runs from interleaving flushes; the kernel releases a dead
-// owner's lock automatically). Writes
-// accumulate in memory and reach disk on Flush, which rewrites each dirty
-// shard to a temp file and atomically renames it into place — a crash
-// mid-flush leaves either the old or the new shard, never a torn one, so a
-// partially completed sweep always resumes from a consistent cache.
+// Store is the persistent result cache: one sealed append log
+// (internal/wal, cells-v2.wal) of {sig, key, val} records, one per
+// completed cell, keyed by content signature. All methods are safe for
+// concurrent use, and exactly one live handle may own a directory at a
+// time (a flock(2)-held lock file keeps a daemon and ad-hoc CLI runs from
+// interleaving writes; the kernel releases a dead owner's lock
+// automatically).
 //
-// For service life the store additionally supports log compaction
-// (Compact: rewrite every shard, dropping corrupt or superseded lines and
-// orphaned cache generations) and size-bounded LRU eviction keyed on the
-// content signature (SetMaxBytes): the shared cache of a long-running
-// daemon converges to the working set instead of growing without bound.
+// Puts accumulate in memory. Flush appends the records put since the last
+// flush, and rewrites the log from the live set only when a record the log
+// holds was evicted or replaced since, so after every Flush the log holds
+// exactly the live records. A plain flush does not fsync: the store is a
+// cache, a lost tail only means its cells are recomputed, and the seal
+// keeps a damaged record from being served — replay trusts the longest
+// prefix of records that verify, so a crash mid-flush leaves a consistent
+// cache holding all work flushed before it.
+//
+// For service life the store also supports compaction (Compact: rewrite
+// the log, remove other cache generations) and size-bounded LRU eviction
+// keyed on the content signature (SetMaxBytes): the shared cache of a
+// long-running daemon converges to the working set instead of growing
+// without bound.
 type Store struct {
-	dir      string
-	lockFile *os.File // flock(2)-held LOCK descriptor; closed on Close
+	log *wal.Log
 
-	mu        sync.Mutex
-	entries   map[string]*list.Element // signature → element (*lruEntry)
-	lru       *list.List               // front = most recently used
-	dirty     map[string]struct{}      // shards with unflushed entries
-	loaded    int                      // records read from disk at Open
-	diskLines int                      // JSONL lines scanned at Open (incl corrupt)
-	bytes     int64                    // approximate footprint of entries
-	maxBytes  int64                    // 0 = unbounded
-	evicted   int64
-	closed    bool
-	bus       *live.Bus // optional flush-event sink
+	mu       sync.Mutex
+	entries  map[string]*list.Element // signature → element (*lruEntry)
+	lru      *list.List               // front = most recently used
+	unlogged []*list.Element          // records new since the last flush, in put order
+	stale    bool                     // a logged record was evicted or replaced since the last flush
+	loaded   int                      // records read from disk at Open
+	bytes    int64                    // approximate footprint of entries
+	maxBytes int64                    // 0 = unbounded
+	evicted  int64
+	closed   bool
+	bus      *live.Bus // optional flush-event sink
 }
 
-// SetBus attaches a live event bus; every completed Flush publishes a
-// StoreFlush event (shards rewritten, records now on disk).
+// SetBus attaches a live event bus; every Flush that writes publishes a
+// StoreFlush event (records now on disk).
 func (s *Store) SetBus(b *live.Bus) {
 	s.mu.Lock()
 	s.bus = b
@@ -95,98 +104,62 @@ func (s *Store) SetBus(b *live.Bus) {
 }
 
 // OpenStore opens (creating if needed) the cache directory, acquires its
-// lock, and loads every shard. Unparseable lines — a torn append from a
-// pre-atomic-write tool, or hand editing — are skipped rather than failing
-// the whole cache; a later superseding line for the same signature wins.
-// A directory owned by another live Store handle fails with *LockError
-// (errors.Is ErrLocked); the kernel releases a dead process's lock with
-// its descriptors, so crashed owners never wedge the directory.
+// lock, and replays the log. A record that fails its seal or does not
+// parse ends the trusted prefix: it and everything after it are dropped,
+// to be recomputed. Caches of other store versions are not read. A
+// directory owned by another live Store handle fails with *wal.LockError
+// (errors.Is wal.ErrLocked); the kernel releases a dead process's lock
+// with its descriptors, so crashed owners never wedge the directory.
 func OpenStore(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("runner: empty store dir")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runner: create store: %w", err)
-	}
-	lockFile, err := acquireLock(dir)
+	s := &Store{entries: map[string]*list.Element{}, lru: list.New()}
+	log, err := wal.Open(dir, storeFile, storeMagic, s.replay)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:      dir,
-		lockFile: lockFile,
-		entries:  map[string]*list.Element{},
-		lru:      list.New(),
-		dirty:    map[string]struct{}{},
-	}
-	for i := 0; i < 16; i++ {
-		shard := fmt.Sprintf("%x", i)
-		f, err := os.Open(s.shardPath(shard))
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			s.unlock()
-			return nil, fmt.Errorf("runner: open shard: %w", err)
-		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		for sc.Scan() {
-			s.diskLines++
-			var r record
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil || r.Sig == "" {
-				continue
-			}
-			s.insertLocked(r)
-		}
-		err = sc.Err()
-		f.Close()
-		if err != nil {
-			s.unlock()
-			return nil, fmt.Errorf("runner: read shard: %w", err)
-		}
-	}
+	s.log = log
 	s.loaded = len(s.entries)
 	return s, nil
 }
 
-// OpenStoreWait is OpenStore with patience for a dying previous owner:
-// while the directory is still flocked it retries until wait elapses. A
-// daemon restarting after a SIGKILL races the kernel reaping its
-// predecessor — the flock releases with the dead process's descriptors,
-// so the successor only needs to outwait the reaping, never to reclaim
-// anything. wait <= 0 degenerates to a single OpenStore attempt.
-func OpenStoreWait(dir string, wait time.Duration) (*Store, error) {
-	deadline := time.Now().Add(wait)
-	for {
-		s, err := OpenStore(dir)
-		if err == nil || !errors.Is(err, ErrLocked) || !time.Now().Before(deadline) {
-			return s, err
-		}
-		time.Sleep(25 * time.Millisecond)
+// replay loads one record from the log at Open.
+func (s *Store) replay(payload []byte) bool {
+	var r record
+	if err := json.Unmarshal(payload, &r); err != nil || r.Sig == "" {
+		return false
 	}
+	s.insertLocked(r, true)
+	return true
 }
 
-// insertLocked adds or supersedes one record at the MRU position.
-func (s *Store) insertLocked(r record) {
-	if el, ok := s.entries[r.Sig]; ok {
-		old := el.Value.(*lruEntry)
-		s.bytes -= old.size
-		old.rec = r
-		old.size = recSize(r)
-		s.bytes += old.size
-		s.lru.MoveToFront(el)
+// insertLocked adds or supersedes one record at the MRU position. A new
+// value for a record the log holds makes the log stale.
+func (s *Store) insertLocked(r record, logged bool) {
+	el, ok := s.entries[r.Sig]
+	if !ok {
+		e := &lruEntry{rec: r, size: recSize(r), logged: logged}
+		el = s.lru.PushFront(e)
+		s.entries[r.Sig] = el
+		s.bytes += e.size
+		if !logged {
+			s.unlogged = append(s.unlogged, el)
+		}
 		return
 	}
-	e := &lruEntry{rec: r, size: recSize(r)}
-	s.entries[r.Sig] = s.lru.PushFront(e)
+	s.lru.MoveToFront(el)
+	e := el.Value.(*lruEntry)
+	if bytes.Equal(e.rec.Val, r.Val) {
+		return
+	}
+	s.stale = s.stale || e.logged
+	s.bytes -= e.size
+	e.rec, e.size, e.logged = r, recSize(r), logged
 	s.bytes += e.size
 }
 
 // evictLocked drops least-recently-used records until the footprint fits
 // the budget (always retaining at least one record, so a single oversized
-// result cannot wedge the cache into thrashing). Evicted entries' shards
-// are marked dirty so the next Flush removes them from disk too.
+// result cannot wedge the cache into thrashing). Evicting a logged record
+// makes the log stale, so the next Flush removes it from disk too.
 func (s *Store) evictLocked() {
 	if s.maxBytes <= 0 {
 		return
@@ -198,7 +171,7 @@ func (s *Store) evictLocked() {
 		delete(s.entries, e.rec.Sig)
 		s.bytes -= e.size
 		s.evicted++
-		s.dirty[e.rec.Sig[:1]] = struct{}{}
+		s.stale = s.stale || e.logged
 	}
 }
 
@@ -212,12 +185,8 @@ func (s *Store) SetMaxBytes(n int64) {
 	s.mu.Unlock()
 }
 
-func (s *Store) shardPath(shard string) string {
-	return filepath.Join(s.dir, fmt.Sprintf("cells-v%d-%s.jsonl", storeVersion, shard))
-}
-
 // Dir returns the cache directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.log.Dir() }
 
 // Len returns the number of cached results (disk + pending).
 func (s *Store) Len() int {
@@ -262,7 +231,7 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StoreStats{
-		Dir: s.dir, Records: len(s.entries), Loaded: s.loaded,
+		Dir: s.log.Dir(), Records: len(s.entries), Loaded: s.loaded,
 		Bytes: s.bytes, MaxBytes: s.maxBytes, Evicted: s.evicted,
 	}
 }
@@ -293,19 +262,17 @@ func (s *Store) Put(key Key, val json.RawMessage) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.insertLocked(record{Sig: sig, Key: key, Val: val})
-	s.dirty[key.Shard()] = struct{}{}
+	s.insertLocked(record{Sig: sig, Key: key, Val: val}, false)
 	s.evictLocked()
 	return nil
 }
 
-// Flush rewrites every dirty shard atomically (temp file + rename).
-// Records are written in sorted signature order so a flushed shard's bytes
-// are a pure function of its contents. The store lock is held across the
-// rewrite: a Put racing a concurrent flush must not have its dirty mark
-// cleared without its record reaching disk, and shard files are small
-// enough (≤1/16th of the cache) that the stall is negligible next to the
-// simulations the pool is running. Returns ErrClosed after Close.
+// Flush writes the records put since the last flush: it appends them, or,
+// when the log is stale, rewrites it from the live set, least recently
+// used first, so a reopen restores the recency order too. The store lock
+// is held across the write: a Put racing a concurrent flush must not be
+// marked logged without its record reaching disk. Returns ErrClosed after
+// Close.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -316,150 +283,90 @@ func (s *Store) Flush() error {
 }
 
 func (s *Store) flushLocked() error {
-	shards := make([]string, 0, len(s.dirty))
-	for sh := range s.dirty {
-		shards = append(shards, sh)
-	}
-	sort.Strings(shards)
-	byShard := map[string][]record{}
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		r := el.Value.(*lruEntry).rec
-		sh := r.Sig[:1]
-		byShard[sh] = append(byShard[sh], r)
-	}
-
-	for _, sh := range shards {
-		recs := byShard[sh]
-		if len(recs) == 0 {
-			// Every record of this shard was evicted: drop the file.
-			if err := os.Remove(s.shardPath(sh)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("runner: flush: %w", err)
-			}
-			delete(s.dirty, sh)
-			continue
+	var els []*list.Element
+	if s.stale {
+		for el := s.lru.Back(); el != nil; el = el.Prev() {
+			els = append(els, el)
 		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Sig < recs[j].Sig })
-		tmp, err := os.CreateTemp(s.dir, "cells-*.tmp")
+	} else {
+		for _, el := range s.unlogged {
+			if s.entries[el.Value.(*lruEntry).rec.Sig] == el { // not evicted
+				els = append(els, el)
+			}
+		}
+	}
+	if len(els) == 0 && !s.stale {
+		s.unlogged = nil
+		return nil
+	}
+	payloads := make([][]byte, len(els))
+	for i, el := range els {
+		b, err := json.Marshal(el.Value.(*lruEntry).rec)
 		if err != nil {
 			return fmt.Errorf("runner: flush: %w", err)
 		}
-		bw := bufio.NewWriter(tmp)
-		enc := json.NewEncoder(bw)
-		for _, r := range recs {
-			if err := enc.Encode(r); err != nil {
-				tmp.Close()
-				os.Remove(tmp.Name())
-				return fmt.Errorf("runner: flush: %w", err)
-			}
-		}
-		if err := bw.Flush(); err == nil {
-			err = tmp.Close()
-		} else {
-			tmp.Close()
-		}
-		if err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("runner: flush: %w", err)
-		}
-		if err := os.Rename(tmp.Name(), s.shardPath(sh)); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("runner: flush: %w", err)
-		}
-		delete(s.dirty, sh)
+		payloads[i] = b
 	}
-	if len(shards) > 0 && s.bus != nil {
-		s.bus.Publish(live.Event{Kind: live.StoreFlush, Shards: len(shards), Records: len(s.entries)})
+	var err error
+	if s.stale {
+		err = s.log.Rewrite(payloads)
+	} else {
+		err = s.log.Append(payloads, false)
+	}
+	if err != nil {
+		return fmt.Errorf("runner: flush: %w", err)
+	}
+	for _, el := range els {
+		el.Value.(*lruEntry).logged = true
+	}
+	s.unlogged, s.stale = nil, false
+	if s.bus != nil {
+		s.bus.Publish(live.Event{Kind: live.StoreFlush, Records: len(s.entries)})
 	}
 	return nil
 }
 
 // CompactStats reports what one Compact pass rewrote.
 type CompactStats struct {
-	// LinesBefore is every JSONL line on disk before the pass, including
-	// corrupt lines, superseded duplicates, and orphaned generations.
-	LinesBefore int `json:"lines_before"`
-	// Records is the live record count after the pass.
+	// Records is the live record count the log holds after the pass.
 	Records int `json:"records"`
-	// Dropped is LinesBefore minus Records: the garbage reclaimed.
-	Dropped int `json:"dropped"`
-	// OrphanFiles counts removed shard files from other store versions.
+	// Bytes is the log's size after the pass.
+	Bytes int64 `json:"bytes"`
+	// OrphanFiles counts removed files of other store versions and temp
+	// files of cut-short rewrites.
 	OrphanFiles int `json:"orphan_files,omitempty"`
 }
 
-// Compact rewrites every shard from the live record set, dropping corrupt
-// lines, superseded duplicates, evicted records, and whole shard files left
-// by incompatible store versions (orphaned cache generations). A daemon
-// runs this periodically so a cache that has lived through many code-salt
-// bumps and evictions converges back to exactly its live records.
+// Compact rewrites the log from the live record set and removes every
+// other cells-* file in the directory: caches of other store versions
+// (orphaned generations, such as the cells-v1-*.jsonl shards of the
+// previous layout) and temp files a crash left mid-rewrite. A daemon runs
+// this periodically so a cache that has lived through store-version bumps
+// converges back to exactly its live records.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st CompactStats
 	if s.closed {
-		return st, ErrClosed
+		return CompactStats{}, ErrClosed
 	}
-
-	ents, err := os.ReadDir(s.dir)
+	s.stale = true
+	if err := s.flushLocked(); err != nil {
+		return CompactStats{}, err
+	}
+	st := CompactStats{Records: len(s.entries), Bytes: s.log.Size()}
+	ents, err := os.ReadDir(s.log.Dir())
 	if err != nil {
 		return st, fmt.Errorf("runner: compact: %w", err)
 	}
-	curPrefix := fmt.Sprintf("cells-v%d-", storeVersion)
 	for _, de := range ents {
-		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, "cells-") || !strings.HasSuffix(name, ".jsonl") {
-			continue
-		}
-		path := filepath.Join(s.dir, name)
-		n, err := countLines(path)
-		if err != nil {
-			return st, fmt.Errorf("runner: compact: %w", err)
-		}
-		st.LinesBefore += n
-		if !strings.HasPrefix(name, curPrefix) {
-			// A shard from another storeVersion: unreachable by this build,
-			// pure disk waste.
-			if err := os.Remove(path); err != nil {
+		if name := de.Name(); name != storeFile && strings.HasPrefix(name, "cells-") && !de.IsDir() {
+			if err := os.Remove(filepath.Join(s.log.Dir(), name)); err != nil {
 				return st, fmt.Errorf("runner: compact: %w", err)
 			}
 			st.OrphanFiles++
 		}
 	}
-
-	// Mark every current-generation shard dirty — existing files must be
-	// rewritten (or removed, when all their records were evicted or were
-	// corrupt) and pending records must reach disk.
-	for i := 0; i < 16; i++ {
-		sh := fmt.Sprintf("%x", i)
-		if _, err := os.Stat(s.shardPath(sh)); err == nil {
-			s.dirty[sh] = struct{}{}
-		}
-	}
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		s.dirty[el.Value.(*lruEntry).rec.Sig[:1]] = struct{}{}
-	}
-	if err := s.flushLocked(); err != nil {
-		return st, err
-	}
-	st.Records = len(s.entries)
-	st.Dropped = st.LinesBefore - st.Records
-	if st.Dropped < 0 {
-		st.Dropped = 0
-	}
 	return st, nil
-}
-
-// countLines counts newline-terminated lines (a trailing partial line — a
-// torn append — counts too: it is exactly the garbage compaction drops).
-func countLines(path string) (int, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	n := bytes.Count(b, []byte{'\n'})
-	if len(b) > 0 && b[len(b)-1] != '\n' {
-		n++
-	}
-	return n, nil
 }
 
 // Close flushes pending records, marks the store closed (subsequent Put
@@ -467,19 +374,14 @@ func countLines(path string) (int, error) {
 // lock. Closing an already-closed store is a no-op.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	err := s.flushLocked()
 	s.closed = true
-	s.mu.Unlock()
-	s.unlock()
+	if cerr := s.log.Close(false); err == nil {
+		err = cerr
+	}
 	return err
-}
-
-// unlock releases the directory lock (the flock drops with the
-// descriptor; the LOCK file itself stays behind as an inert marker).
-func (s *Store) unlock() {
-	releaseLock(s.lockFile)
 }

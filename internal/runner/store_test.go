@@ -1,13 +1,17 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"cwsp/internal/wal"
 )
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -45,40 +49,36 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if e.Name() == lockFileName {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
-		if !strings.HasPrefix(e.Name(), "cells-v") || !strings.HasSuffix(e.Name(), ".jsonl") {
+		if e.Name() != "LOCK" && e.Name() != storeFile {
 			t.Fatalf("unexpected store file %s", e.Name())
 		}
 	}
 }
 
+// The store used to spread its records over 16 shard files; it is now one
+// log, however many signature prefixes its keys cover.
 func TestStoreSharding(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough keys to hit several shards.
+	// Enough keys to cover many signature prefixes.
 	for i := 0; i < 64; i++ {
 		s.Put(simKey(i), json.RawMessage(`1`))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var shards int
+	var logs int
 	ents, _ := os.ReadDir(dir)
 	for _, e := range ents {
 		if strings.HasPrefix(e.Name(), "cells-v") {
-			shards++
+			logs++
 		}
 	}
-	if shards < 2 {
-		t.Fatalf("expected multiple shard files, got %d", shards)
+	if logs != 1 {
+		t.Fatalf("store wrote %d files, want its one log", logs)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -103,19 +103,13 @@ func TestStoreSkipsCorruptLines(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a torn write at the end of a shard.
-	var shardFile string
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "cells-v") {
-			shardFile = filepath.Join(dir, e.Name())
-		}
-	}
-	f, err := os.OpenFile(shardFile, os.O_APPEND|os.O_WRONLY, 0)
+	// Simulate a torn append at the end of the log: a frame cut short.
+	frame := wal.AppendFrame(nil, storeMagic, []byte(`{"sig":"torn","val":1}`))
+	f, err := os.OpenFile(filepath.Join(dir, storeFile), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"sig":"tr`)
+	f.Write(frame[:len(frame)-3])
 	f.Close()
 
 	s2, err := OpenStore(dir)
@@ -218,7 +212,7 @@ func TestPoolFlushEveryPersistsPartialSweeps(t *testing.T) {
 	}
 	// Drop the handle without Close: the on-disk lock left behind belongs to
 	// this (live) process, so reopening must still conflict...
-	if _, err := OpenStore(dir); !errors.Is(err, ErrLocked) {
+	if _, err := OpenStore(dir); !errors.Is(err, wal.ErrLocked) {
 		t.Fatalf("reopen with live lock: err=%v, want ErrLocked", err)
 	}
 	// ...until the owner releases it.
@@ -233,5 +227,247 @@ func TestPoolFlushEveryPersistsPartialSweeps(t *testing.T) {
 	defer resumed.Close()
 	if resumed.Loaded() != 3 {
 		t.Fatalf("resumable store holds %d records, want 3", resumed.Loaded())
+	}
+}
+
+// editValue rewrites the first occurrence of old in the store's files on
+// disk, in place and at the same length, so the damaged record still
+// parses as JSON.
+func editValue(t *testing.T, dir, old, new string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		path := filepath.Join(dir, e.Name())
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(b, []byte(old)); i >= 0 && strings.HasPrefix(e.Name(), "cells-") {
+			copy(b[i:], new)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("%q is in no store file", old)
+}
+
+// A record whose bytes changed on disk but still parse is never served:
+// the seal fails, and the record leaves the trusted prefix.
+func TestStoreNeverServesDamagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := simKey(1)
+	if err := s.Put(k, json.RawMessage(`{"cycles":123}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	editValue(t, dir, `"cycles":123`, `"cycles":124`)
+
+	s2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if raw, ok := s2.Get(k.Signature()); ok {
+		t.Fatalf("damaged record served: %s", raw)
+	}
+	if s2.Loaded() != 0 {
+		t.Fatalf("loaded %d records, want 0", s2.Loaded())
+	}
+}
+
+// Through the pool: a run after a record was damaged on disk recomputes
+// that cell and returns the original results. Damage ends the trusted
+// prefix, so the damaged record and every one after it are recomputed;
+// one job puts the cells in input order, and the damaged one is last.
+func TestPoolRecomputesDamagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	var runs atomic.Int64
+	mk := func() []Cell[int] {
+		var cells []Cell[int]
+		for i := 0; i < 4; i++ {
+			i := i
+			cells = append(cells, Cell[int]{Key: simKey(i), Run: func() (int, error) {
+				runs.Add(1)
+				return 120 + i, nil
+			}})
+		}
+		return cells
+	}
+	run := func() ([]int, *Progress) {
+		t.Helper()
+		store, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPool[int](Options{Jobs: 1, Store: store, Reuse: true})
+		out, err := p.Run(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out, p.Progress()
+	}
+	out1, _ := run()
+	editValue(t, dir, `"val":123`, `"val":124`)
+	out2, prog := run()
+	if prog.Executed() != 1 || prog.Hits() != 3 || runs.Load() != 5 {
+		t.Fatalf("second run executed %d, hit %d (%d runs in all), want 1 and 3",
+			prog.Executed(), prog.Hits(), runs.Load())
+	}
+	for i := range out1 {
+		if out1[i] != out2[i] {
+			t.Fatalf("cell %d: %d after recompute, want %d", i, out2[i], out1[i])
+		}
+	}
+}
+
+// A flush with nothing evicted or replaced appends exactly the frames of
+// the records put since the previous flush: the bytes already on disk are
+// not rewritten. Replacing a record rewrites the log from the live set.
+func TestStoreFlushAppendsOnlyNewRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, storeFile)
+	for i := 0; i < 3; i++ {
+		s.Put(simKey(i), json.RawMessage(`1`))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := before
+	for i := 3; i < 5; i++ {
+		k, v := simKey(i), json.RawMessage(`{"n":2}`)
+		s.Put(k, v)
+		payload, err := json.Marshal(record{Sig: k.Signature(), Key: k, Val: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = wal.AppendFrame(want, storeMagic, payload)
+	}
+	s.Get(simKey(0).Signature())           // recency alone writes nothing
+	s.Put(simKey(1), json.RawMessage(`1`)) // nor does an identical re-put
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, want) {
+		t.Fatalf("log after flush: %d bytes, want the %d before plus two frames (%d)",
+			len(after), len(before), len(want))
+	}
+
+	s.Put(simKey(0), json.RawMessage(`3`))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if raw, ok := s2.Get(simKey(0).Signature()); !ok || string(raw) != `3` || s2.Loaded() != 5 {
+		t.Fatalf("after replacing a record: get %q ok=%v, loaded %d, want 3 and 5 records", raw, ok, s2.Loaded())
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(want)) {
+		t.Fatalf("rewritten log is %d bytes, want the %d of the live records alone", fi.Size(), len(want))
+	}
+}
+
+// Appends after Compact reach the file the directory names: a reopen finds
+// them.
+func TestStoreAppendAfterCompact(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(simKey(0), json.RawMessage(`0`))
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(simKey(1), json.RawMessage(`1`))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for i := 0; i < 2; i++ {
+		if raw, ok := s2.Get(simKey(i).Signature()); !ok || string(raw) != fmt.Sprint(i) {
+			t.Fatalf("record %d after compact+append+reopen: %q ok=%v", i, raw, ok)
+		}
+	}
+}
+
+// A rewrite writes the live set least recently used first, so a reopen
+// restores the recency order; evicting a record the log holds removes it
+// from disk at the next flush.
+func TestStoreRewriteKeepsRecency(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 13; i++ { // equal-size records
+		s.Put(simKey(i), json.RawMessage(`1`))
+	}
+	budget := s.Bytes() * 2 / 3
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.Get(simKey(10).Signature()) // least recently used is now 11
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.SetMaxBytes(budget)
+	if _, ok := s2.Get(simKey(11).Signature()); ok || s2.Len() != 2 {
+		t.Fatalf("after reopen the budget kept %d records and key 11 ok=%v, want it evicted as least recently used", s2.Len(), ok)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Loaded() != 2 {
+		t.Fatalf("log holds %d records after the eviction flushed, want 2", s3.Loaded())
 	}
 }

@@ -234,11 +234,14 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosReport, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
+	// Compacting after every campaign makes each finished campaign rewrite
+	// both logs, so kills in the flush phase land in and around compactions.
 	d := &chaosDaemon{
 		bin: opts.Bin, addr: addr, log: opts.Log,
 		args: []string{
 			"-cache-dir", filepath.Join(dir, "cache"),
 			"-journal-dir", filepath.Join(dir, "journal"),
+			"-compact-every", "1",
 			"-lock-wait", "10s",
 			"-queue", fmt.Sprint(opts.Queue),
 			"-workers", fmt.Sprint(opts.Workers),

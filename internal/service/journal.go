@@ -2,17 +2,13 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
-	"time"
 
-	"cwsp/internal/runner"
+	"cwsp/internal/wal"
 )
 
 // The campaign journal is the daemon's own whole-system persistence: a
@@ -23,23 +19,15 @@ import (
 // non-terminal ones are re-admitted against the warm content-addressed
 // store.
 //
-// Records are length-prefixed and sealed (the same splitmix64 mixing the
-// simulator uses for undo-log records), so a torn tail — a crash mid-append
-// — is detected and truncated, never misparsed: replay trusts exactly the
-// prefix of records whose frames verify, the oldest-bad-record-onward
-// discipline the recovery runtime itself applies to the NVM undo journal.
+// The log is an internal/wal sealed append log: records are
+// length-prefixed and sealed, so a torn tail — a crash mid-append — is
+// detected and truncated, never misparsed, and replay trusts exactly the
+// prefix of records whose frames verify and whose payloads parse.
 const (
-	// journalMagic frames every record ("CWSJ" little-endian); a frame that
-	// does not start with it ends the trusted prefix.
+	// journalMagic frames every record ("CWSJ" little-endian).
 	journalMagic = uint32(0x4a535743)
-	// journalHeader is the frame header: magic u32 | payload len u32 |
-	// payload seal u64, little-endian.
-	journalHeader = 16
 	// journalFile is the single append-only log inside the journal dir.
 	journalFile = "journal-v1.wal"
-	// maxJournalRecord caps one record's payload so a corrupt length field
-	// cannot drive a giant allocation during replay.
-	maxJournalRecord = 64 << 20
 )
 
 // ErrJournalClosed is returned by journal mutations after Close.
@@ -108,21 +96,6 @@ type JournalStats struct {
 	Compactions int64 `json:"compactions,omitempty"`
 }
 
-// sealJournal checksums a record payload with splitmix64 finalization —
-// the same mixing the simulator seals undo-log records with (sim/seal.go),
-// applied per byte so bit flips anywhere in the payload break the seal.
-func sealJournal(b []byte) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return h
-}
-
 // resultDigest seals a terminal payload for end-to-end integrity (the
 // frame seal covers the record bytes on disk; the digest travels with the
 // result through compaction and recovery).
@@ -131,72 +104,14 @@ func resultDigest(b []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// encodeJournalRecord frames one record: header (magic, length, seal) +
-// JSON payload.
-func encodeJournalRecord(rec journalRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("service: journal encode: %w", err)
-	}
-	buf := make([]byte, journalHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], journalMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[8:], sealJournal(payload))
-	copy(buf[journalHeader:], payload)
-	return buf, nil
-}
-
-// decodeJournal parses the longest verifiable prefix of b: records are
-// accepted until the first frame that is short (torn append), carries the
-// wrong magic, an implausible length, a failing seal, or an unparseable
-// payload. It returns the decoded records and the byte length of the
-// trusted prefix — everything past it is the torn tail Open truncates.
-func decodeJournal(b []byte) ([]journalRecord, int) {
-	var recs []journalRecord
-	off := 0
-	for {
-		rest := len(b) - off
-		if rest < journalHeader {
-			return recs, off
-		}
-		if binary.LittleEndian.Uint32(b[off:]) != journalMagic {
-			return recs, off
-		}
-		n := int(binary.LittleEndian.Uint32(b[off+4:]))
-		if n <= 0 || n > maxJournalRecord || journalHeader+n > rest {
-			return recs, off
-		}
-		payload := b[off+journalHeader : off+journalHeader+n]
-		if sealJournal(payload) != binary.LittleEndian.Uint64(b[off+8:]) {
-			return recs, off
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.ID == "" {
-			return recs, off
-		}
-		recs = append(recs, rec)
-		off += journalHeader + n
-	}
-}
-
-// foldJournal reduces a record sequence to per-campaign entries in
-// first-seen order. Folding rules: a record for an unknown campaign only
-// creates an entry when it carries the spec (accepted records and folded
-// terminal records do); the first terminal record wins — duplicates, and
-// terminal records contradicting an earlier terminal state, are ignored;
-// a "done" record whose result fails its digest is treated as non-terminal
-// so the campaign re-runs instead of serving corrupt bytes.
-func foldJournal(recs []journalRecord) (map[string]*JournalEntry, []string) {
-	entries := map[string]*JournalEntry{}
-	var order []string
-	for _, rec := range recs {
-		entries, order = foldInto(entries, order, rec)
-	}
-	return entries, order
-}
-
-// foldInto applies one record to the folded state (shared by replay and
-// live append, so the two can never drift).
+// foldInto applies one record to the per-campaign entries, kept in
+// first-seen order (shared by replay and live append, so the two can never
+// drift). Folding rules: a record for an unknown campaign only creates an
+// entry when it carries the spec (accepted records and folded terminal
+// records do); the first terminal record wins — duplicates, and terminal
+// records contradicting an earlier terminal state, are ignored; a "done"
+// record whose result fails its digest is treated as non-terminal so the
+// campaign re-runs instead of serving corrupt bytes.
 func foldInto(entries map[string]*JournalEntry, order []string, rec journalRecord) (map[string]*JournalEntry, []string) {
 	if _, ok := entries[rec.ID]; !ok {
 		if rec.Spec == nil {
@@ -209,25 +124,20 @@ func foldInto(entries map[string]*JournalEntry, order []string, rec journalRecor
 	return entries, order
 }
 
-// Journal is the durable campaign log: an append-only file of framed
-// records plus the folded per-campaign state it implies, kept current on
-// every append so compaction never needs a snapshot from the service (and
+// Journal is the durable campaign log: one wal.Log of framed records
+// plus the folded per-campaign state it implies, kept current on every
+// append so compaction never needs a snapshot from the service (and
 // therefore never inverts the service's lock order). Exactly one live
 // handle may own a journal directory — the same flock(2) discipline as the
 // result store, so a crashed daemon's successor acquires the directory the
 // moment the kernel reaps the corpse.
 type Journal struct {
-	dir  string
-	lock *os.File
-
 	mu          sync.Mutex
-	f           *os.File
-	size        int64
+	log         *wal.Log
 	closed      bool
 	entries     map[string]*JournalEntry
 	order       []string
 	appended    int64
-	tornBytes   int64
 	compactions int64
 }
 
@@ -235,62 +145,24 @@ type Journal struct {
 // its lock, replays the log, and truncates any unverifiable tail so the
 // file ends on a record boundary before the first new append.
 func OpenJournal(dir string) (*Journal, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("service: empty journal dir")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: create journal dir: %w", err)
-	}
-	lock, err := runner.LockDir(dir)
+	j := &Journal{entries: map[string]*JournalEntry{}}
+	log, err := wal.Open(dir, journalFile, journalMagic, j.replay)
 	if err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, journalFile)
-	b, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		runner.UnlockDir(lock)
-		return nil, fmt.Errorf("service: read journal: %w", err)
-	}
-	recs, valid := decodeJournal(b)
-	entries, order := foldJournal(recs)
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		runner.UnlockDir(lock)
-		return nil, fmt.Errorf("service: open journal: %w", err)
-	}
-	j := &Journal{
-		dir: dir, lock: lock, f: f,
-		size: int64(valid), entries: entries, order: order,
-		tornBytes: int64(len(b) - valid),
-	}
-	if j.tornBytes > 0 {
-		// Drop the torn tail now so appends extend the trusted prefix.
-		if err := f.Truncate(int64(valid)); err != nil {
-			j.closeFiles()
-			return nil, fmt.Errorf("service: truncate torn journal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		j.closeFiles()
-		return nil, fmt.Errorf("service: seek journal: %w", err)
-	}
+	j.log = log
 	return j, nil
 }
 
-// OpenJournalWait retries OpenJournal while the directory is still locked
-// by a dying previous owner, up to wait. The kernel releases a SIGKILLed
-// daemon's flock when the process is reaped, so a restart-after-crash
-// only needs to outwait the reaping, not reclaim anything.
-func OpenJournalWait(dir string, wait time.Duration) (*Journal, error) {
-	deadline := time.Now().Add(wait)
-	for {
-		j, err := OpenJournal(dir)
-		if err == nil || !errors.Is(err, runner.ErrLocked) || !time.Now().Before(deadline) {
-			return j, err
-		}
-		time.Sleep(25 * time.Millisecond)
+// replay folds one record from the log at Open. A payload that does not
+// parse, or names no campaign, ends the trusted prefix.
+func (j *Journal) replay(payload []byte) bool {
+	var rec journalRecord
+	if err := json.Unmarshal(payload, &rec); err != nil || rec.ID == "" {
+		return false
 	}
+	j.entries, j.order = foldInto(j.entries, j.order, rec)
+	return true
 }
 
 // Entries returns the folded campaigns in first-seen order.
@@ -309,9 +181,9 @@ func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JournalStats{
-		Dir: j.dir, Campaigns: len(j.entries),
-		Appended: j.appended, SizeBytes: j.size,
-		TornBytes: j.tornBytes, Compactions: j.compactions,
+		Dir: j.log.Dir(), Campaigns: len(j.entries),
+		Appended: j.appended, SizeBytes: j.log.Size(),
+		TornBytes: j.log.Torn(), Compactions: j.compactions,
 	}
 	for _, e := range j.entries {
 		if Terminal(e.State) {
@@ -348,24 +220,18 @@ func (j *Journal) Terminal(id, state, errMsg string, result json.RawMessage, tNS
 }
 
 func (j *Journal) append(rec journalRecord, sync bool) error {
-	buf, err := encodeJournalRecord(rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("service: journal encode: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrJournalClosed
 	}
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("service: journal append: %w", err)
+	if err := j.log.Append([][]byte{payload}, sync); err != nil {
+		return err
 	}
-	if sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("service: journal fsync: %w", err)
-		}
-	}
-	j.size += int64(len(buf))
 	j.appended++
 	// Keep the folded state current so Compact never needs a service-side
 	// snapshot (and therefore never takes the service lock).
@@ -431,61 +297,27 @@ func foldedRecord(e *JournalEntry) journalRecord {
 }
 
 // Compact folds the log: one record per campaign, in first-seen order,
-// written to a temp file and atomically renamed over the log (the same
-// rename discipline as the result store — a crash mid-compaction leaves
-// the old log or the new one, never a hybrid). Running it twice with no
-// intervening appends produces identical bytes.
+// through wal.Rewrite (temp file, fsync, rename, directory fsync — a crash
+// mid-compaction leaves the old log or the new one, never a hybrid, and
+// later appends go to the file the directory names). Running it twice with
+// no intervening appends produces identical bytes.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrJournalClosed
 	}
-	tmp, err := os.CreateTemp(j.dir, "journal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("service: journal compact: %w", err)
-	}
-	var size int64
-	for _, id := range j.order {
-		buf, err := encodeJournalRecord(foldedRecord(j.entries[id]))
-		if err == nil {
-			_, err = tmp.Write(buf)
-		}
+	payloads := make([][]byte, len(j.order))
+	for i, id := range j.order {
+		p, err := json.Marshal(foldedRecord(j.entries[id]))
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
 			return fmt.Errorf("service: journal compact: %w", err)
 		}
-		size += int64(len(buf))
+		payloads[i] = p
 	}
-	if err := tmp.Sync(); err == nil {
-		err = tmp.Close()
-	} else {
-		tmp.Close()
+	if err := j.log.Rewrite(payloads); err != nil {
+		return err
 	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal compact: %w", err)
-	}
-	path := filepath.Join(j.dir, journalFile)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: journal compact: %w", err)
-	}
-	syncDir(j.dir)
-
-	// Swap the append handle onto the new file.
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: journal reopen: %w", err)
-	}
-	if _, err := f.Seek(size, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("service: journal reopen: %w", err)
-	}
-	j.f.Close()
-	j.f = f
-	j.size = size
 	j.compactions++
 	return nil
 }
@@ -498,30 +330,6 @@ func (j *Journal) Close() error {
 	if j.closed {
 		return nil
 	}
-	err := j.f.Sync()
-	j.closeFiles()
-	if err != nil {
-		return fmt.Errorf("service: journal close: %w", err)
-	}
-	return nil
-}
-
-// closeFiles releases the file handle and lock (callers hold j.mu or own
-// j exclusively during Open failure paths).
-func (j *Journal) closeFiles() {
 	j.closed = true
-	if j.f != nil {
-		j.f.Close()
-	}
-	runner.UnlockDir(j.lock)
-}
-
-// syncDir best-effort fsyncs a directory so a just-renamed file's entry is
-// durable (rename itself is atomic; the directory entry needs its own
-// sync on some filesystems).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	return j.log.Close(true)
 }

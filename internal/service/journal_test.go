@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cwsp/internal/wal"
 )
 
 func litmusSpec(key string, seed int64) Spec {
@@ -16,6 +18,18 @@ func litmusSpec(key string, seed int64) Spec {
 }
 
 func journalPath(dir string) string { return filepath.Join(dir, journalFile) }
+
+// frameHeader is the size of a wal frame's header: magic, length, seal.
+const frameHeader = 16
+
+// journalFrame frames one record as the journal appends it.
+func journalFrame(t testing.TB, rec journalRecord) []byte {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wal.AppendFrame(nil, journalMagic, payload)
+}
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -101,9 +115,7 @@ func TestJournalTornTail(t *testing.T) {
 
 	// A crash mid-append: a full frame header promising more payload than
 	// the file holds.
-	torn := make([]byte, journalHeader+4)
-	binary.LittleEndian.PutUint32(torn[0:], journalMagic)
-	binary.LittleEndian.PutUint32(torn[4:], 4096)
+	torn := wal.AppendFrame(nil, journalMagic, bytes.Repeat([]byte{'x'}, 4096))[:frameHeader+4]
 	if err := os.WriteFile(journalPath(dir), append(append([]byte{}, good...), torn...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +177,7 @@ func TestJournalBitFlipEndsTrustedPrefix(t *testing.T) {
 	// Flip one payload bit inside the second record: it and everything
 	// after it — even the intact third record — leave the trusted prefix
 	// (the oldest-bad-record-onward discipline).
-	b[end1+journalHeader+2] ^= 0x40
+	b[end1+frameHeader+2] ^= 0x40
 	if err := os.WriteFile(journalPath(dir), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +185,28 @@ func TestJournalBitFlipEndsTrustedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
 	entries := j2.Entries()
 	if len(entries) != 1 || entries[0].ID != "a" {
 		t.Fatalf("after bit flip: %+v, want only campaign a", entries)
 	}
 	if st := j2.Stats(); st.TornBytes != int64(len(b))-end1 {
 		t.Fatalf("torn bytes = %d, want %d", st.TornBytes, int64(len(b))-end1)
+	}
+	// Open truncated the untrusted tail: an append the size of the damaged
+	// record cannot bring the intact third record back.
+	if err := j2.Accepted("b", "", litmusSpec("b", 2), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if entries := j3.Entries(); len(entries) != 2 || entries[1].ID != "b" {
+		t.Fatalf("after append over the truncated tail: %+v, want a and b", entries)
 	}
 }
 
@@ -249,21 +276,15 @@ func TestJournalEmptyAndAbsent(t *testing.T) {
 func TestJournalDigestMismatchDowngradesToRerun(t *testing.T) {
 	dir := t.TempDir()
 	spec := litmusSpec("a", 1)
-	acc, err := encodeJournalRecord(journalRecord{Kind: "accepted", ID: "a", TimeNS: 1, Spec: &spec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	acc := journalFrame(t, journalRecord{Kind: "accepted", ID: "a", TimeNS: 1, Spec: &spec})
 	// A done record whose payload does not match its digest: the frame
 	// seal is valid (this is exactly what compacting a log whose result
 	// bytes rotted in memory would write), so only the digest can catch it.
-	done, err := encodeJournalRecord(journalRecord{
+	done := journalFrame(t, journalRecord{
 		Kind: StateDone, ID: "a", TimeNS: 2,
 		Result: []byte(`{"corrupt":true}`),
 		Digest: resultDigest([]byte(`{"original":true}`)),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(journalPath(dir), append(acc, done...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +392,15 @@ func TestJournalAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// FuzzJournalDecode is the fold half of the journal's replay (the codec's
+// own target is wal.FuzzDecode): folding whatever prefix of arbitrary
+// bytes decodes must not panic and must keep first-seen order consistent
+// with the entry map.
 func FuzzJournalDecode(f *testing.F) {
 	spec := litmusSpec("a", 1)
-	acc, _ := encodeJournalRecord(journalRecord{Kind: "accepted", ID: "a", TimeNS: 1, Spec: &spec})
+	acc := journalFrame(f, journalRecord{Kind: "accepted", ID: "a", TimeNS: 1, Spec: &spec})
 	res := []byte(`{"n":1}`)
-	done, _ := encodeJournalRecord(journalRecord{
+	done := journalFrame(f, journalRecord{
 		Kind: StateDone, ID: "a", TimeNS: 2, Result: res, Digest: resultDigest(res),
 	})
 	f.Add([]byte{})
@@ -385,27 +410,99 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		recs, valid := decodeJournal(b)
-		if valid < 0 || valid > len(b) {
-			t.Fatalf("valid prefix %d outside [0,%d]", valid, len(b))
+		j := &Journal{entries: map[string]*JournalEntry{}}
+		wal.Decode(b, journalMagic, j.replay)
+		if len(j.entries) != len(j.order) {
+			t.Fatalf("fold: %d entries, %d order", len(j.entries), len(j.order))
 		}
-		// The trusted prefix must be exactly re-decodable: same records,
-		// nothing left over (truncation at open is safe).
-		recs2, valid2 := decodeJournal(b[:valid])
-		if valid2 != valid || len(recs2) != len(recs) {
-			t.Fatalf("prefix re-decode: %d records/%d bytes, want %d/%d",
-				len(recs2), valid2, len(recs), valid)
-		}
-		// Folding any decoded sequence must not panic and must keep
-		// first-seen order consistent with the map.
-		entries, order := foldJournal(recs)
-		if len(entries) != len(order) {
-			t.Fatalf("fold: %d entries, %d order", len(entries), len(order))
-		}
-		for _, id := range order {
-			if entries[id] == nil {
+		for _, id := range j.order {
+			if j.entries[id] == nil {
 				t.Fatalf("fold: ordered id %q missing", id)
 			}
 		}
 	})
+}
+
+// The journal's frame format is pinned: one fixed record encodes to the
+// bytes the journal has always written, so journals already on disk keep
+// replaying.
+func TestJournalFramePinned(t *testing.T) {
+	res := []byte(`{"n":1}`)
+	got := hex.EncodeToString(journalFrame(t, journalRecord{
+		Kind: StateDone, ID: "pin", TimeNS: 43, Digest: resultDigest(res), Result: res,
+	}))
+	const want = "4357534a8f0000005406379e69fa781b" + // "CWSJ", 143-byte payload, seal
+		"7b226b696e64223a22646f6e65222c226964223a2270696e222c22745f6e73223a34332c22646967657374223a22" +
+		"7368613235363a32626664313466343364313766633763656132346530393137613838373962346232663838306238" +
+		"626165656331623964393066626161643635356537316264222c22726573756c74223a2265794a75496a6f7866513d3d227d"
+	if got != want {
+		t.Fatalf("frame\n got %s\nwant %s", got, want)
+	}
+}
+
+// A journal written by an earlier build's encoder (testdata/journal-v1.wal:
+// a done, a running and a failed campaign) replays unchanged.
+func TestJournalReplaysEarlierFile(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if st := j.Stats(); st.TornBytes != 0 || st.SizeBytes != int64(len(raw)) {
+		t.Fatalf("stats %+v, want the whole %d-byte file trusted", st, len(raw))
+	}
+	entries := j.Entries()
+	if len(entries) != 3 {
+		t.Fatalf("replayed %d entries, want 3", len(entries))
+	}
+	a, b, c := entries[0], entries[1], entries[2]
+	result := "{\n  \"cells\": 1,\n  \"ok\": true\n}"
+	if a.ID != "a" || a.State != StateDone || string(a.Result) != result || a.Digest != resultDigest([]byte(result)) ||
+		a.ClientID != "cli-1" || a.Spec.Seed != 7 || a.SubmittedNS != 100 || a.StartedNS != 200 || a.FinishedNS != 300 {
+		t.Fatalf("entry a = %+v", a)
+	}
+	if b.ID != "b" || b.State != StateRunning || b.StartedNS != 500 {
+		t.Fatalf("entry b = %+v", b)
+	}
+	if c.ID != "c" || c.State != StateFailed || c.Err != "boom" || c.FinishedNS != 700 {
+		t.Fatalf("entry c = %+v", c)
+	}
+}
+
+// Appends after Compact reach the file the directory names: a reopen
+// replays them.
+func TestJournalAppendAfterCompact(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Accepted("a", "", litmusSpec("a", 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Accepted("b", "", litmusSpec("b", 2), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if entries := j2.Entries(); len(entries) != 2 || entries[1].ID != "b" {
+		t.Fatalf("after compact+append+reopen: %+v", entries)
+	}
 }

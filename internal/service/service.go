@@ -15,6 +15,7 @@ import (
 	"cwsp/internal/runner"
 	"cwsp/internal/sim"
 	"cwsp/internal/telemetry/live"
+	"cwsp/internal/wal"
 	"cwsp/internal/workloads"
 )
 
@@ -179,7 +180,7 @@ func New(opts Options) (*Service, error) {
 	case opts.Store != nil:
 		s.store = opts.Store
 	case opts.CacheDir != "":
-		store, err := runner.OpenStoreWait(opts.CacheDir, opts.LockWait)
+		store, err := wal.OpenWait(opts.LockWait, func() (*runner.Store, error) { return runner.OpenStore(opts.CacheDir) })
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +201,7 @@ func New(opts Options) (*Service, error) {
 	// opts.Queue, not channel capacity).
 	var entries []JournalEntry
 	if opts.JournalDir != "" {
-		j, err := OpenJournalWait(opts.JournalDir, opts.LockWait)
+		j, err := wal.OpenWait(opts.LockWait, func() (*Journal, error) { return OpenJournal(opts.JournalDir) })
 		if err != nil {
 			if s.owned {
 				s.store.Close()
@@ -524,12 +525,16 @@ func (s *Service) runCampaign(c *Campaign) {
 		s.logf("campaign %s done in %v", c.ID, dur.Round(time.Millisecond))
 	}
 	if compact {
-		if st, cerr := s.store.Compact(); cerr == nil {
-			s.logf("store compacted: %d lines -> %d records (%d dropped, %d orphan files)",
-				st.LinesBefore, st.Records, st.Dropped, st.OrphanFiles)
+		if st, cerr := s.store.Compact(); cerr != nil {
+			s.logf("store compaction: %v", cerr)
+		} else {
+			s.logf("store compacted: %d records, %d bytes (%d orphan files removed)",
+				st.Records, st.Bytes, st.OrphanFiles)
 		}
 		if s.journal != nil {
-			if cerr := s.journal.Compact(); cerr == nil {
+			if cerr := s.journal.Compact(); cerr != nil {
+				s.logf("journal compaction: %v", cerr)
+			} else {
 				js := s.journal.Stats()
 				s.logf("journal compacted: %d campaigns (%d terminal), %d bytes",
 					js.Campaigns, js.Terminal, js.SizeBytes)

@@ -47,7 +47,7 @@ func TestBusCounters(t *testing.T) {
 	b.Publish(Event{Kind: RecoveryOutcome, Outcome: "detected"})
 	b.Publish(Event{Kind: RecoveryOutcome, Outcome: "diverged"})
 	b.Publish(Event{Kind: RecoveryOutcome, Outcome: "error"})
-	b.Publish(Event{Kind: StoreFlush, Shards: 3, Records: 17})
+	b.Publish(Event{Kind: StoreFlush, Records: 17})
 	b.Publish(Event{Kind: SimProgress, Instrs: 100, Cycles: 50})
 	b.Publish(Event{Kind: SimProgress, Instrs: 10, Cycles: 5})
 

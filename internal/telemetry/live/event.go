@@ -116,7 +116,6 @@ type Event struct {
 
 	// Store events.
 	Records int `json:"records,omitempty"` // records on disk after the flush
-	Shards  int `json:"shards,omitempty"`  // dirty shards rewritten
 
 	// Simulation progress (deltas since the machine's last report).
 	Instrs int64 `json:"instrs,omitempty"`
