@@ -354,11 +354,11 @@ func (h *Harness) simulate(w workloads.Workload, cfg sim.Config, sch sim.Scheme,
 	// Long cells report instruction progress to the live endpoint; a nil
 	// bus keeps the kernel's disabled path branch-identical to before.
 	m.SetLiveBus(h.Opt.Bus)
-	res, err := m.Run()
+	st, err := m.RunStats()
 	if err != nil {
 		return sim.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, sch.Name, err)
 	}
-	return res.Stats, nil
+	return st, nil
 }
 
 // Slowdown returns cycles(scheme)/cycles(baseline) for one workload, where

@@ -514,11 +514,7 @@ func init() {
 					if err != nil {
 						return sim.Stats{}, err
 					}
-					r, err := m.Run()
-					if err != nil {
-						return sim.Stats{}, err
-					}
-					return r.Stats, nil
+					return m.RunStats()
 				}
 				base, err := run(prog, sim.Baseline())
 				if err != nil {

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"cwsp/internal/mem"
 	"cwsp/internal/sim"
 	"cwsp/internal/workloads"
 )
@@ -40,6 +41,36 @@ func TestParallelReportBytesIdentical(t *testing.T) {
 	if ri.Cells != ri.CacheHits+ri.Shared+ri.Executed {
 		t.Errorf("cell accounting: %d cells != %d hits + %d shared + %d executed",
 			ri.Cells, ri.CacheHits, ri.Shared, ri.Executed)
+	}
+}
+
+// TestParallelSweepOnSparesBytesIdentical: machines RunStats spent hand
+// their memory to the next ones, so a second cold sweep in the same
+// process builds its machines on the first sweep's spares. On a 2-wide
+// pool it must produce the same report bytes and cell accounting as the
+// first, which starts with no spare.
+func TestParallelSweepOnSparesBytesIdentical(t *testing.T) {
+	sweep := func() (csv string, executed, hits int64) {
+		h := NewHarness(Options{Scale: workloads.Smoke, Jobs: 2})
+		for _, id := range []string{"fig01", "fig06"} {
+			csv += runExperimentT(t, h, id).CSV()
+		}
+		ri := h.RunnerSummary()
+		return csv, ri.Executed, ri.CacheHits
+	}
+	for mem.TakeSpare() != nil {
+	}
+	want, wantExec, wantHits := sweep()
+	if wantExec == 0 {
+		t.Fatal("the first sweep executed no cell")
+	}
+	got, gotExec, gotHits := sweep()
+	if got != want {
+		t.Fatalf("the sweep on spares differs from the first:\nfirst:\n%s\non spares:\n%s", want, got)
+	}
+	if gotExec != wantExec || gotHits != wantHits {
+		t.Errorf("the sweep on spares executed %d cells with %d cache hits, the first %d with %d",
+			gotExec, gotHits, wantExec, wantHits)
 	}
 }
 

@@ -42,6 +42,11 @@ type Cache struct {
 // NewCache builds a cache of sizeBytes with the given associativity and
 // line size (must be powers of two; sizeBytes divisible by ways*lineBytes).
 func NewCache(name string, sizeBytes, ways, lineBytes int) *Cache {
+	return newCache(name, sizeBytes, ways, lineBytes, nil)
+}
+
+// newCache is NewCache with its tag and stamp arrays from s (nil: new).
+func newCache(name string, sizeBytes, ways, lineBytes int, s *Spare) *Cache {
 	lines := sizeBytes / lineBytes
 	sets := lines / ways
 	if sets < 1 {
@@ -58,8 +63,8 @@ func NewCache(name string, sizeBytes, ways, lineBytes int) *Cache {
 		ways:      ways,
 		setMask:   setMask,
 		wayBits:   log2(ways),
-		tags:      make([]int64, sets*ways),
-		stamps:    make([]int64, sets*ways),
+		tags:      s.ints(sets * ways),
+		stamps:    s.ints(sets * ways),
 	}
 }
 
@@ -167,6 +172,9 @@ type DRAMCache struct {
 	setShift  uint       // log2(sets) when setMask >= 0
 	chunks    [][]uint16 // chunks[set>>dramChunkShift]; nil until allocated
 	lazy      int        // chunks allocated one at a time so far
+	// all is the array of every set once the bulk fill has made it;
+	// before that, a spare array of that length for the fill, or nil.
+	all []uint16
 	// far maps each set that has held a far line to the last one, read
 	// only while the set's tag is dramFar; nil until the first far fill.
 	far map[int]int64
@@ -230,14 +238,21 @@ func (d *DRAMCache) Access(addr int64) (hit bool) {
 }
 
 // alloc allocates tag chunk i: alone while fewer than dramLazyChunks
-// have been, otherwise as part of one array holding every set.
+// have been, otherwise as part of one array holding every set (the
+// spare one, cleared, when there is one).
 func (d *DRAMCache) alloc(i int) []uint16 {
 	if d.lazy < dramLazyChunks {
 		d.lazy++
 		d.chunks[i] = make([]uint16, min(1<<dramChunkShift, d.sets-i<<dramChunkShift))
 		return d.chunks[i]
 	}
-	all := make([]uint16, d.sets)
+	all := d.all
+	if all == nil {
+		all = make([]uint16, d.sets)
+		d.all = all
+	} else {
+		clear(all)
+	}
 	for j, c := range d.chunks {
 		lo := j << dramChunkShift
 		d.chunks[j] = all[lo:min(lo+1<<dramChunkShift, d.sets)]

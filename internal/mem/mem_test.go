@@ -3,6 +3,7 @@ package mem
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -229,20 +230,28 @@ func TestDRAMCacheLazyChunks(t *testing.T) {
 	}
 
 	// A fully touched 8 MiB cache holds 2 bytes per set: its tags, plus
-	// the lazily allocated chunks the bulk fill replaced.
+	// the lazily allocated chunks the bulk fill replaced. TotalAlloc is
+	// process-wide, so other goroutines' allocations count against a
+	// fill; the least of three fills is the one to bound.
 	const bigSets = 8 << 20 / 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	d = NewDRAMCache(bigSets*64, 64)
-	for set := int64(0); set < bigSets; set++ {
-		d.Access(set * 64)
+	var fill uint64
+	for rep := 0; rep < 3; rep++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d = NewDRAMCache(bigSets*64, 64)
+		for set := int64(0); set < bigSets; set++ {
+			d.Access(set * 64)
+		}
+		runtime.ReadMemStats(&after)
+		if _, held := allocated(d); held != bigSets || unsafe.Sizeof(d.chunks[0][0]) != 2 {
+			t.Errorf("%d sets held at %d bytes each, want %d at 2", held, unsafe.Sizeof(d.chunks[0][0]), bigSets)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; rep == 0 || got < fill {
+			fill = got
+		}
 	}
-	runtime.ReadMemStats(&after)
-	if _, held := allocated(d); held != bigSets || unsafe.Sizeof(d.chunks[0][0]) != 2 {
-		t.Errorf("%d sets held at %d bytes each, want %d at 2", held, unsafe.Sizeof(d.chunks[0][0]), bigSets)
-	}
-	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(2*bigSets+2*dramLazyChunks*chunkSets+4<<10); got > want {
-		t.Errorf("touching every set of an 8 MiB DRAM cache allocated %d bytes, want at most %d", got, want)
+	if want := uint64(2*bigSets + 2*dramLazyChunks*chunkSets + 4<<10); fill > want {
+		t.Errorf("touching every set of an 8 MiB DRAM cache allocated %d bytes (least of 3 fills), want at most %d", fill, want)
 	}
 }
 
@@ -292,5 +301,58 @@ func TestWriteBufferAvgOccupancyLow(t *testing.T) {
 	}
 	if got := w.AvgOccupancy(); got > 0.5 {
 		t.Errorf("avg occupancy = %v, want < 0.5", got)
+	}
+}
+
+// TestSpareListBounded: workers that each build a machine's structures
+// from a spare, write them and release them, all at once, leave at most
+// GOMAXPROCS spares on the list, and every structure built from a spare
+// starts empty. Releases onto a full list keep it at GOMAXPROCS.
+func TestSpareListBounded(t *testing.T) {
+	for TakeSpare() != nil {
+	}
+	workers := runtime.GOMAXPROCS(0) + 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				sp := TakeSpare()
+				c, d, img := sp.NewCache("l1d", 4<<10, 4, 64), sp.NewDRAMCache(1<<20, 64), sp.NewPagedMem()
+				if hit, _ := c.Access(0, true); hit {
+					t.Error("a cache built from a spare hit before any fill")
+				}
+				img.Store(8, 1) // page 0 comes from the spare, when it has one
+				if img.Load(64) != 0 {
+					t.Error("a page from a spare kept a word stored before")
+				}
+				for a := int64(0); a < 1<<20; a += 64 {
+					if d.Access(a) {
+						t.Error("a DRAM cache built from a spare hit before any fill")
+						break
+					}
+					img.Store(a, a+1)
+				}
+				Release([]*Cache{c}, d, img, img)
+			}
+		}()
+	}
+	wg.Wait()
+	kept := func() int {
+		spares.Lock()
+		defer spares.Unlock()
+		return len(spares.list)
+	}
+	if n := kept(); n < 1 || n > runtime.GOMAXPROCS(0) {
+		t.Errorf("%d spares kept after %d concurrent workers, want 1 to GOMAXPROCS (%d)", n, workers, runtime.GOMAXPROCS(0))
+	}
+	for i := 0; i < workers; i++ {
+		Release([]*Cache{NewCache("l1d", 4<<10, 4, 64)}, nil, NewPagedMem())
+	}
+	if n := kept(); n != runtime.GOMAXPROCS(0) {
+		t.Errorf("%d spares kept after %d more releases, want GOMAXPROCS (%d)", n, workers, runtime.GOMAXPROCS(0))
+	}
+	for TakeSpare() != nil {
 	}
 }

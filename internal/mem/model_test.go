@@ -251,19 +251,26 @@ func TestNegativeLineMissesCold(t *testing.T) {
 	}
 }
 
-// pagedModel is a PagedMem beside the word map it must agree with.
+// pagedModel is a PagedMem beside the word map it must agree with, the
+// set of pages a nonzero store has written, which must be exactly the
+// image's resident pages, and the address of the image's last store.
 type pagedModel struct {
-	m   *PagedMem
-	ref map[int64]int64
+	m     *PagedMem
+	ref   map[int64]int64
+	pages map[int64]bool
+	last  int64
 }
 
 // runPagedOps drives a few images against word maps over an op stream:
 // loads and stores on colliding pages and their neighbours, absent-page
-// loads followed by stores, and Clones that must stay independent of
-// their source afterwards.
+// loads followed by stores, stores of 0 (half of all stores: into absent
+// and present pages, and over the image's last store), and Clones that
+// must stay independent of their source afterwards. After every store
+// the image must hold exactly the pages a nonzero store has written, so
+// a store of 0 into an absent page adds none.
 func runPagedOps(t testing.TB, ops []byte) {
 	t.Helper()
-	imgs := []pagedModel{{NewPagedMem(), map[int64]int64{}}}
+	imgs := []pagedModel{{NewPagedMem(), map[int64]int64{}, map[int64]bool{}, 0}}
 	for i := 0; i+2 < len(ops); i += 3 {
 		sel, x, y := ops[i], ops[i+1], ops[i+2]
 		img := &imgs[int(x)%len(imgs)]
@@ -276,15 +283,31 @@ func runPagedOps(t testing.TB, ops []byte) {
 			}
 		case 2:
 			v := int64(i) + 1
+			if sel&4 != 0 {
+				v = 0
+				if sel&8 != 0 {
+					addr = img.last
+				}
+			}
 			img.m.Store(addr, v)
-			img.ref[addr] = v
+			img.ref[addr], img.last = v, addr
+			if v != 0 {
+				img.pages[addr>>3>>pageShift] = true
+			}
+			if got, want := img.m.Pages(), len(img.pages); got != want {
+				t.Fatalf("op %d: Store(%#x, %d) left %d pages, want %d", i/3, addr, v, got, want)
+			}
 		default:
 			if len(imgs) < 4 {
 				ref := make(map[int64]int64, len(img.ref))
 				for a, v := range img.ref {
 					ref[a] = v
 				}
-				imgs = append(imgs, pagedModel{img.m.Clone(), ref})
+				pages := make(map[int64]bool, len(img.pages))
+				for k := range img.pages {
+					pages[k] = true
+				}
+				imgs = append(imgs, pagedModel{img.m.Clone(), ref, pages, img.last})
 			}
 		}
 	}

@@ -25,14 +25,16 @@ type pcEntry struct {
 }
 
 // PagedMem is a sparse, word-granularity memory image. Addresses are byte
-// addresses; accesses are aligned 8-byte words. Pages are allocated on
-// first write, so multi-megabyte footprints stay cheap. A direct-mapped
-// cache of page lookups, indexed by a multiplicative hash of the page key
-// so that the 4 MiB-aligned areas of the address map do not share an
-// entry, keeps the simulator's hot load/store loops off the map hash. It
-// remembers absent pages too (Store refreshes the entry when it allocates
-// one), and it is transparent: the map remains the sole owner of every
-// page.
+// addresses; accesses are aligned 8-byte words. A page is allocated on the
+// first nonzero write to it (an absent page reads 0, so a zero store into
+// one is a no-op), so multi-megabyte footprints stay cheap; an image built
+// from a Spare takes its pages from the spare, cleared, before the
+// allocator. A direct-mapped cache of page lookups, indexed by a
+// multiplicative hash of the page key so that the 4 MiB-aligned areas of
+// the address map do not share an entry, keeps the simulator's hot
+// load/store loops off the map hash. It remembers absent pages too (Store
+// refreshes the entry when it allocates one), and it is transparent: the
+// map remains the sole owner of every page.
 //
 // A PagedMem belongs to one goroutine at a time: Load as well as Store
 // writes the page cache. Equal, Diff, EqualWhere, Digest, and Clone read
@@ -41,6 +43,9 @@ type pcEntry struct {
 type PagedMem struct {
 	pages map[int64]*[pageWords]int64
 	cache [1 << pcBits]pcEntry
+	// free holds pages to reuse before allocating (nil for none), shared
+	// by the images built from one Spare.
+	free *[]*[pageWords]int64
 }
 
 // NewPagedMem returns an empty image.
@@ -60,6 +65,9 @@ func (m *PagedMem) page(key int64) *[pageWords]int64 {
 	if e.key == key^tagBias {
 		return e.page
 	}
+	if m.pages == nil {
+		panic("mem: image used after Release handed its pages to a spare")
+	}
 	p := m.pages[key]
 	e.key, e.page = key^tagBias, p
 	return p
@@ -75,17 +83,34 @@ func (m *PagedMem) Load(addr int64) int64 {
 	return p[w&pageMask]
 }
 
-// Store writes the word at addr.
+// Store writes the word at addr. A store of 0 into an absent page
+// allocates nothing: the page already reads 0.
 func (m *PagedMem) Store(addr, val int64) {
 	w := addr >> 3
 	key := w >> pageShift
 	p := m.page(key)
 	if p == nil {
-		p = new([pageWords]int64)
+		if val == 0 {
+			return
+		}
+		p = m.newPage()
 		m.pages[key] = p
 		m.entry(key).page = p // page left key's entry in place
 	}
 	p[w&pageMask] = val
+}
+
+// newPage returns a zeroed page: a cleared spare page while any is left,
+// else a new one.
+func (m *PagedMem) newPage() *[pageWords]int64 {
+	if m.free == nil || len(*m.free) == 0 {
+		return new([pageWords]int64)
+	}
+	free := *m.free
+	p := free[len(free)-1]
+	*m.free = free[:len(free)-1]
+	*p = [pageWords]int64{}
+	return p
 }
 
 // Clone deep-copies the image.
@@ -181,7 +206,8 @@ func (m *PagedMem) EqualWhere(o *PagedMem, keep func(addr int64) bool) bool {
 	return check(m, o) && check(o, m)
 }
 
-// Pages returns the number of resident pages (for footprint assertions).
+// Pages returns the number of resident pages: pages that some nonzero
+// store has written, whatever they hold now (for footprint assertions).
 func (m *PagedMem) Pages() int { return len(m.pages) }
 
 // Digest returns a 64-bit FNV-1a digest of the image's logical contents.

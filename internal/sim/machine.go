@@ -141,6 +141,8 @@ type Machine struct {
 	// halted records that RunUntil drained every runnable core (all done
 	// or frozen at the crash cycle).
 	halted bool
+	// spent records that RunStats released the machine's memory.
+	spent bool
 
 	// tc is this machine's threaded-code translation, built on first run
 	// (threaded kernel only; see threaded.go). tcCrash/tcBound/tcBoundID
@@ -199,18 +201,20 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 100_000_000
 	}
+	// Build on the memory of a machine RunStats spent, when there is one.
+	sp := mem.TakeSpare()
 	m := &Machine{
 		Cfg:  cfg,
 		Sch:  sch,
 		Prog: prog,
-		l2:   mem.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
+		l2:   sp.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
 	}
-	m.setImages(mem.NewPagedMem(), mem.NewPagedMem)
+	m.setImages(sp.NewPagedMem(), sp.NewPagedMem)
 	if cfg.L3Bytes > 0 {
-		m.l3 = mem.NewCache("l3", cfg.L3Bytes, cfg.L3Ways, cfg.LineBytes)
+		m.l3 = sp.NewCache("l3", cfg.L3Bytes, cfg.L3Ways, cfg.LineBytes)
 	}
 	if sch.DRAMCache && cfg.DRAMBytes > 0 {
-		m.dram = mem.NewDRAMCache(cfg.DRAMBytes, cfg.LineBytes)
+		m.dram = sp.NewDRAMCache(cfg.DRAMBytes, cfg.LineBytes)
 	}
 	ch := cfg.MCChannels
 	if ch < 1 {
@@ -249,7 +253,7 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 		}
 		c := &core{
 			id:       i,
-			l1d:      mem.NewCache("l1d", cfg.L1DBytes, cfg.L1DWays, cfg.LineBytes),
+			l1d:      sp.NewCache("l1d", cfg.L1DBytes, cfg.L1DWays, cfg.LineBytes),
 			wb:       mem.NewWriteBuffer(cfg.WBSize, cfg.WBDrainLat),
 			path:     persist.NewPath(cfg.PBSize, cfg.PPBytesBPC, cfg.PPOneWayLat),
 			rbt:      persist.NewRBT(cfg.RBTSize),
@@ -335,12 +339,45 @@ func (m *Machine) releaseRegion(c *core, rs *regionState) {
 	c.freeRegions = append(c.freeRegions, rs)
 }
 
-// Run executes to completion (or error) with no crash.
+// Run executes to completion (or error) with no crash. The machine and
+// the Result's images stay usable; RunStats is the run for a caller that
+// keeps only the statistics.
 func (m *Machine) Run() (*Result, error) {
 	if err := m.RunUntil(math.MaxInt64); err != nil {
 		return nil, err
 	}
 	return m.result(), nil
+}
+
+// RunStats executes to completion like Run and returns the statistics
+// alone. It leaves the machine spent, with or without an error: its cache
+// tag and stamp arrays, its DRAM cache's array of every set and its
+// images' pages go to the spare list (mem.Release), and the next machine
+// NewThreaded builds takes them. Any later call to run the machine, or
+// to read its statistics or images, panics.
+func (m *Machine) RunStats() (Stats, error) {
+	var st Stats
+	err := m.RunUntil(math.MaxInt64)
+	if err == nil {
+		st = m.CollectStats()
+	}
+	caches := []*mem.Cache{m.l2}
+	if m.l3 != nil {
+		caches = append(caches, m.l3)
+	}
+	for _, c := range m.cores {
+		caches = append(caches, c.l1d)
+	}
+	mem.Release(caches, m.dram, m.Mem, m.NVM)
+	m.spent = true
+	return st, err
+}
+
+// live panics on a machine RunStats has spent.
+func (m *Machine) live() {
+	if m.spent {
+		panic("sim: machine is spent: RunStats handed its memory to the next machine")
+	}
 }
 
 // RunUntil executes until every core is done or frozen at the crash cycle.
@@ -351,6 +388,7 @@ func (m *Machine) Run() (*Result, error) {
 // internal/simtest's differential harness and fuzz target hold them
 // byte-identical.
 func (m *Machine) RunUntil(crash int64) error {
+	m.live()
 	if m.Cfg.ReferenceKernel {
 		return m.runReference(crash)
 	}
@@ -396,6 +434,7 @@ func (m *Machine) result() *Result {
 
 // CollectStats finalizes and returns run statistics.
 func (m *Machine) CollectStats() Stats {
+	m.live()
 	s := m.stats
 	var maxCycle int64
 	var occ float64
